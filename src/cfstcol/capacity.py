@@ -68,7 +68,7 @@ class OliveiraMode(Enum):
     CORRECTED = "corrected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionSettings:
     """Auditable constants the published formulas leave open."""
 
@@ -94,7 +94,7 @@ class Violation(NamedTuple):
     actual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApplicabilityReport:
     applicable: bool
     violations: tuple[Violation, ...]
@@ -103,12 +103,11 @@ class ApplicabilityReport:
         if self.applicable != (len(self.violations) == 0):
             raise ValueError("applicable must mean exactly: no violations")
 
-    @classmethod
-    def from_violations(cls, violations: list[Violation]) -> "ApplicabilityReport":
-        return cls(not violations, tuple(violations))
+
+_APPLICABLE = ApplicabilityReport(True, ())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapacityPrediction:
     """Predicted ultimate load (N) with gating, intermediates and diagnostics."""
 
@@ -123,7 +122,7 @@ class CapacityPrediction:
         return self.N_u / 1e3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ec4Coefficients:
     """EC4 intermediate quantities: relative slenderness and the clamped coefficients."""
 
@@ -134,7 +133,7 @@ class Ec4Coefficients:
     N_cr: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProposedFactors:
     """Concrete intensification and steel diminution factors of the superposition formula."""
 
@@ -235,30 +234,17 @@ def _no_limits(column: ColumnSpec) -> list[Violation]:
     return []
 
 
-_LIMIT_CHECKS: dict[MethodId, Callable[[ColumnSpec], list[Violation]]] = {
-    MethodId.EC4: _limits_ec4_aci,
-    MethodId.ACI: _limits_ec4_aci,
-    MethodId.AISC: _limits_aisc,
-    MethodId.CISC: _no_limits,
-    MethodId.DBJ: _limits_dbj,
-    MethodId.OSHEA: _limits_oshea,
-    MethodId.YU: _limits_yu,
-    MethodId.LIU: _no_limits,
-    MethodId.SUN: _no_limits,
-    MethodId.ZHONG_MIAO: _no_limits,
-    MethodId.GUO: _limits_guo,
-    MethodId.DE_OLIVEIRA: _limits_oliveira,
-    MethodId.PROPOSED: _no_limits,
-}
-
-
 def check_applicability(method: MethodId, column: ColumnSpec) -> ApplicabilityReport:
-    """Evaluate the published limits of one method against a column."""
+    """Evaluate the published limits of one method against a column.
+
+    Every column within the limits gets the same shared report.
+    """
     try:
-        checker = _LIMIT_CHECKS[method]
+        limits = _METHODS[method][1]
     except (KeyError, TypeError):
         raise ValueError(f"unknown method: {method!r}") from None
-    return ApplicabilityReport.from_violations(checker(column))
+    violations = limits(column)
+    return ApplicabilityReport(False, tuple(violations)) if violations else _APPLICABLE
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +601,25 @@ def predict_proposed(column: ColumnSpec) -> CapacityPrediction:
 # dispatch
 # ---------------------------------------------------------------------------
 
+# Per method: the predictor, called as (column, settings, p_0), and its limits.
+_METHODS: dict[
+    MethodId, tuple[Callable[..., CapacityPrediction], Callable[[ColumnSpec], list[Violation]]]
+] = {
+    MethodId.EC4: (lambda c, s, p_0: predict_ec4(c, s), _limits_ec4_aci),
+    MethodId.AISC: (lambda c, s, p_0: predict_aisc(c, s), _limits_aisc),
+    MethodId.CISC: (lambda c, s, p_0: predict_cisc(c, s), _no_limits),
+    MethodId.DBJ: (lambda c, s, p_0: predict_dbj(c, s), _limits_dbj),
+    MethodId.ACI: (lambda c, s, p_0: predict_aci(c), _limits_ec4_aci),
+    MethodId.OSHEA: (lambda c, s, p_0: predict_oshea(c), _limits_oshea),
+    MethodId.YU: (lambda c, s, p_0: predict_yu(c), _limits_yu),
+    MethodId.LIU: (lambda c, s, p_0: predict_liu(c), _no_limits),
+    MethodId.SUN: (lambda c, s, p_0: predict_sun(c), _no_limits),
+    MethodId.ZHONG_MIAO: (lambda c, s, p_0: predict_zhong_miao(c, p_0), _no_limits),
+    MethodId.GUO: (lambda c, s, p_0: predict_guo(c), _limits_guo),
+    MethodId.DE_OLIVEIRA: (lambda c, s, p_0: predict_oliveira(c, s.oliveira_mode), _limits_oliveira),
+    MethodId.PROPOSED: (lambda c, s, p_0: predict_proposed(c), _no_limits),
+}
+
 
 def predict(
     column: ColumnSpec,
@@ -623,33 +628,11 @@ def predict(
     p_0: float = 0.0,
 ) -> CapacityPrediction:
     """Run one predictor on a column under the given settings."""
-    if method is MethodId.ACI:
-        return predict_aci(column)
-    if method is MethodId.EC4:
-        return predict_ec4(column, settings)
-    if method is MethodId.AISC:
-        return predict_aisc(column, settings)
-    if method is MethodId.CISC:
-        return predict_cisc(column, settings)
-    if method is MethodId.DBJ:
-        return predict_dbj(column, settings)
-    if method is MethodId.OSHEA:
-        return predict_oshea(column)
-    if method is MethodId.YU:
-        return predict_yu(column)
-    if method is MethodId.LIU:
-        return predict_liu(column)
-    if method is MethodId.SUN:
-        return predict_sun(column)
-    if method is MethodId.ZHONG_MIAO:
-        return predict_zhong_miao(column, p_0)
-    if method is MethodId.GUO:
-        return predict_guo(column)
-    if method is MethodId.DE_OLIVEIRA:
-        return predict_oliveira(column, settings.oliveira_mode)
-    if method is MethodId.PROPOSED:
-        return predict_proposed(column)
-    raise ValueError(f"unknown method: {method!r}")
+    try:
+        run = _METHODS[method][0]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown method: {method!r}") from None
+    return run(column, settings, p_0)
 
 
 def predict_all(

@@ -9,6 +9,7 @@ plus JSON statistics out).  Loads are reported in kN at 0.1 kN resolution.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -42,13 +43,11 @@ from .section import (
 USAGE_ERROR = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunConfig:
-    """One run's auditable configuration: formula settings plus output shape."""
+    """One run's auditable configuration: formula settings and the concrete modulus override."""
 
     settings: PredictionSettings
-    fmt: str
-    out: str | None
     Ec_override: float | None = None
 
     def as_dict(self) -> dict:
@@ -136,12 +135,14 @@ def _parse_methods(spec: str) -> tuple[MethodId, ...]:
     return tuple(methods)
 
 
+def _output(out: str | None):
+    """The file named by ``out`` opened for writing, or stdout (left open)."""
+    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+
+
 def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _kN(newtons: float) -> float:
@@ -172,7 +173,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     column, converted = _build_column(args)
     methods = _parse_methods(args.method)
     predictions = predict_all(column, methods, _settings(args))
-    config = RunConfig(_settings(args), args.format, args.out, args.ec)
+    config = RunConfig(_settings(args), args.ec)
     if args.format == "json":
         payload = {
             "column": {
@@ -264,7 +265,7 @@ def _cmd_respond(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
+        with open(args.input, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {args.input}: {exc}") from None
@@ -279,34 +280,34 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     for m in methods:
         header += [f"Nu_{m.value}_kN", f"applicable_{m.value}"]
     header.append("diagnostics")
-    csv_lines = [",".join(header)]
-    for row in rows:
-        rec = row.record
-        cells = [
-            str(row.index), rec.source_id, f"{rec.D:g}", f"{rec.t:g}", f"{rec.L:g}",
-            f"{rec.f_y:g}",
-            "" if rec.f_u is None else f"{rec.f_u:g}",
-            "" if rec.E_s is None else f"{rec.E_s:g}",
-            f"{rec.fc_measured:g}", rec.fc_kind.value,
-            "" if rec.d_max is None else f"{rec.d_max:g}",
-            f"{rec.N_test_kN:g}",
-            "" if row.f_c is None else f"{row.f_c:.4f}",
-            row.concrete_class or "",
-            ";".join(row.defaulted),
-            (row.error or "").replace(",", ";"),
-        ]
-        diagnostics = []
-        for pred in row.predictions:
-            cells += [f"{_kN(pred.N_u):.1f}", str(pred.applicability.applicable).lower()]
-            diagnostics.extend(f"{pred.method.value}: {d}" for d in pred.diagnostics)
-        if not row.predictions:
-            cells += ["", ""] * len(methods)
-        cells.append(("; ".join(diagnostics)).replace(",", ";"))
-        csv_lines.append(",".join(cells))
-    _write("\n".join(csv_lines) + "\n", args.out)
+    with _output(args.out) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            rec = row.record
+            cells = [
+                str(row.index), rec.source_id, f"{rec.D:g}", f"{rec.t:g}", f"{rec.L:g}",
+                f"{rec.f_y:g}",
+                "" if rec.f_u is None else f"{rec.f_u:g}",
+                "" if rec.E_s is None else f"{rec.E_s:g}",
+                f"{rec.fc_measured:g}", rec.fc_kind.value,
+                "" if rec.d_max is None else f"{rec.d_max:g}",
+                f"{rec.N_test_kN:g}",
+                "" if row.f_c is None else f"{row.f_c:.4f}",
+                row.concrete_class or "",
+                ";".join(row.defaulted),
+                (row.error or "").replace(",", ";"),
+            ]
+            diagnostics = []
+            for pred in row.predictions:
+                cells += [f"{_kN(pred.N_u):.1f}", str(pred.applicability.applicable).lower()]
+                diagnostics.extend(f"{pred.method.value}: {d}" for d in pred.diagnostics)
+            if not row.predictions:
+                cells += ["", ""] * len(methods)
+            cells.append(("; ".join(diagnostics)).replace(",", ";"))
+            fh.write(",".join(cells) + "\n")
 
     summary = {
-        "config": RunConfig(settings, "json", args.summary_out, args.ec).as_dict(),
+        "config": RunConfig(settings, args.ec).as_dict(),
         "methods": [m.value for m in methods],
         "n_rows": len(parsed.records),
         "row_errors": [{"line": e.line, "message": e.message} for e in parsed.errors],

@@ -17,7 +17,6 @@ import csv
 import io
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -57,7 +56,7 @@ CSV_HEADER = (
 RATIO_ORIENTATION = "N_test/N_u"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpecimenRecord:
     """One test specimen row; optional fields are None until defaulted at evaluation."""
 
@@ -80,7 +79,7 @@ class RowError(NamedTuple):
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedDataset:
     records: tuple[SpecimenRecord, ...]
     errors: tuple[RowError, ...]
@@ -171,7 +170,7 @@ def column_from_record(
     return column, converted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RowResult:
     """Evaluation outcome for one record: the converted strength and per-method predictions."""
 
@@ -184,7 +183,7 @@ class RowResult:
     predictions: tuple[CapacityPrediction, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StatsSummary:
     """Mean/STD/CoV of N_test/N_u over the applicable rows of one method."""
 
@@ -243,37 +242,21 @@ def evaluate_dataset(
     records: Iterable[SpecimenRecord],
     methods: tuple[MethodId, ...] | None = None,
     settings: PredictionSettings = DEFAULT_SETTINGS,
-    parallel: bool = False,
     Ec_override: float | None = None,
 ) -> tuple[list[RowResult], list[StatsSummary]]:
     """Run the requested predictors on every record and summarise per method.
 
-    Rows are independent; with ``parallel`` they are evaluated on a thread
-    pool, with results returned in input order either way.  Rows failing
-    applicability are excluded from a method's statistics but still carry
-    their predictions; rows whose evaluation errors (e.g. an impossible
-    strength conversion) count only towards n_total.  ``Ec_override``
-    replaces the derived concrete modulus on every row (sensitivity runs).
+    Rows are evaluated in input order.  Rows failing applicability are
+    excluded from a method's statistics but still carry their predictions;
+    rows whose evaluation errors (e.g. an impossible strength conversion)
+    count only towards n_total.  ``Ec_override`` replaces the derived
+    concrete modulus on every row (sensitivity runs).
     """
-    records = list(records)
     if methods is None:
         methods = tuple(MethodId)
-    if parallel and records:
-        with ThreadPoolExecutor() as pool:
-            rows = list(
-                pool.map(
-                    _evaluate_row,
-                    range(len(records)),
-                    records,
-                    [methods] * len(records),
-                    [settings] * len(records),
-                    [Ec_override] * len(records),
-                )
-            )
-    else:
-        rows = [
-            _evaluate_row(i, rec, methods, settings, Ec_override)
-            for i, rec in enumerate(records)
-        ]
+    rows = [
+        _evaluate_row(i, rec, methods, settings, Ec_override)
+        for i, rec in enumerate(records)
+    ]
     summaries = [_summarise(m, pos, rows) for pos, m in enumerate(methods)]
     return rows, summaries

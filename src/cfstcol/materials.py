@@ -28,7 +28,7 @@ class CurveKind(Enum):
     CONCRETE_CONFINED = "CONCRETE_CONFINED"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StressStrainCurve:
     """Ordered (strain, stress MPa) samples for one material."""
 
@@ -58,7 +58,7 @@ class StressStrainCurve:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SteelCurveParams:
     """Breakpoints and hardening exponent of the steel curve.
 
@@ -175,7 +175,7 @@ def fracture_energy(f_c: float, d_max: float) -> float:
     return (0.00469 * d_max**2 - 0.5 * d_max + 26.0) * (f_c / 10.0) ** 0.7 * 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CdpmParameterSet:
     """Concrete-damaged-plasticity inputs: psi (deg), eccentricity, f_b0/f_c, K_c, viscosity, G_f (N/mm)."""
 
@@ -252,7 +252,7 @@ def softening_params(xi_c: float) -> tuple[float, float]:
     return alpha, BETA_SOFTENING
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfinedConcreteParams:
     """Confined-curve parameters: strains, confining pressure, residual stress, softening shape."""
 

@@ -23,7 +23,7 @@ from .materials import (
 from .section import ColumnSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AxialResponse:
     """Sampled axial response: (strain, load N) points plus peak and residual figures."""
 

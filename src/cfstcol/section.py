@@ -77,7 +77,7 @@ _CONVERSION_FACTORS: dict[ConcreteClass, dict[SpecimenKind, float | None]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasuredStrength:
     """A raw compressive strength (MPa) together with the specimen shape it came from."""
 
@@ -89,7 +89,7 @@ class MeasuredStrength:
             raise ValueError("measured strength must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvertedStrength:
     """Strength on the 150x300-cylinder basis plus the class used to convert it."""
 
@@ -138,7 +138,7 @@ def concrete_elastic_modulus(f_c: float, override: float | None = None) -> float
     return 4700.0 * math.sqrt(f_c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CircularSection:
     """Circular tube geometry in mm: outer diameter D, wall thickness t, length L."""
 
@@ -180,7 +180,7 @@ def confinement_factor(A_s: float, f_y: float, A_c: float, f_c: float) -> float:
     return (A_s * f_y) / (A_c * f_c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SteelMaterial:
     """Steel tube properties (MPa).
 
@@ -218,7 +218,7 @@ class SteelMaterial:
         return ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConcreteMaterial:
     """Core concrete properties: f_c on the 150x300-cylinder basis (MPa).
 
@@ -255,40 +255,33 @@ class ConcreteMaterial:
         return ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnSpec:
-    """One circular CFST column: geometry plus steel and core concrete."""
+    """One circular CFST column: geometry plus steel and core concrete.
+
+    The derived geometry (areas, D/t, L/D, steel-to-concrete area ratio
+    alpha_s = A_s/A_c and confinement factor xi_c) is computed once at
+    construction; it takes no part in equality or repr.
+    """
 
     section: CircularSection
     steel: SteelMaterial
     concrete: ConcreteMaterial
+    A_s: float = field(init=False, repr=False, compare=False)
+    A_c: float = field(init=False, repr=False, compare=False)
+    dt_ratio: float = field(init=False, repr=False, compare=False)
+    ld_ratio: float = field(init=False, repr=False, compare=False)
+    alpha_s: float = field(init=False, repr=False, compare=False)
+    xi_c: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def A_s(self) -> float:
-        return section_areas(self.section)[0]
-
-    @property
-    def A_c(self) -> float:
-        return section_areas(self.section)[1]
-
-    @property
-    def dt_ratio(self) -> float:
-        return self.section.D / self.section.t
-
-    @property
-    def ld_ratio(self) -> float:
-        return self.section.L / self.section.D
-
-    @property
-    def alpha_s(self) -> float:
-        """Steel-to-concrete area ratio A_s/A_c."""
-        A_s, A_c = section_areas(self.section)
-        return A_s / A_c
-
-    @property
-    def xi_c(self) -> float:
-        A_s, A_c = section_areas(self.section)
-        return confinement_factor(A_s, self.steel.f_y, A_c, self.concrete.f_c)
+    def __post_init__(self) -> None:
+        section = self.section
+        A_s, A_c = section_areas(section)
+        xi_c = confinement_factor(A_s, self.steel.f_y, A_c, self.concrete.f_c)
+        for name, value in (("A_s", A_s), ("A_c", A_c), ("dt_ratio", section.D / section.t),
+                            ("ld_ratio", section.L / section.D), ("alpha_s", A_s / A_c),
+                            ("xi_c", xi_c)):
+            object.__setattr__(self, name, value)
 
     @property
     def defaulted(self) -> tuple[str, ...]:

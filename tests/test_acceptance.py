@@ -9,7 +9,6 @@ database ships with the package.  The AISC gate checks both branch values
 at the 0.44 switch against the printed 0.658/0.877/0.44 constants.
 """
 
-import json
 import math
 import random
 import time
@@ -343,12 +342,11 @@ def _close(a, b):
     return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
 
 
-def test_statistics_oracle_and_parallel_determinism():
+def test_statistics_oracle():
     records = _synthetic_records(1000)
-    rows_seq, summaries_seq = evaluate_dataset(records, parallel=False)
-    rows_par, summaries_par = evaluate_dataset(records, parallel=True)
+    _, summaries = evaluate_dataset(records)
     failures = []
-    for summary in summaries_seq:
+    for summary in summaries:
         n_app, mean, std, cov = _brute_force_stats(records, summary.method)
         if summary.n_applicable != n_app:
             failures.append(f"{summary.method.value}: count {summary.n_applicable} != {n_app}")
@@ -356,16 +354,8 @@ def test_statistics_oracle_and_parallel_determinism():
                                 ("cov", summary.cov, cov)):
             if not _close(got, want):
                 failures.append(f"{summary.method.value} {name}: {got!r} != {want!r}")
-    serial = json.dumps([(s.method.value, s.n_applicable, s.mean, s.std, s.cov) for s in summaries_seq])
-    parallel = json.dumps([(s.method.value, s.n_applicable, s.mean, s.std, s.cov) for s in summaries_par])
-    if serial != parallel:
-        failures.append("parallel summaries differ from sequential")
-    loads_seq = [[p.N_u for p in row.predictions] for row in rows_seq]
-    loads_par = [[p.N_u for p in row.predictions] for row in rows_par]
-    if loads_seq != loads_par:
-        failures.append("parallel row loads differ from sequential")
     report("statistics pipeline vs brute-force oracle on 1000 synthetic rows",
-           not failures, "; ".join(failures[:4]) or "mean/std/cov within 1e-12; parallel byte-identical")
+           not failures, "; ".join(failures[:4]) or "mean/std/cov within 1e-12")
 
 
 def test_fiber_response_gates(r1):

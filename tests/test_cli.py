@@ -217,6 +217,22 @@ class TestBatch:
         assert s["mean"] == pytest.approx(1.0, rel=1e-12)
         assert s["cov"] == pytest.approx(0.1, rel=1e-9)
 
+    def test_utf8_bom_input_accepted(self, capsys, tmp_path):
+        # spreadsheet exports often start the file with a UTF-8 byte-order mark
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(batch_fixture_text(), encoding="utf-8")
+        bom.write_text(batch_fixture_text(), encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        outputs = []
+        for source in (plain, bom):
+            rows_out = tmp_path / f"rows_{source.stem}.csv"
+            summary_out = tmp_path / f"summary_{source.stem}.json"
+            code, _, err = run(capsys, ["batch", "--input", str(source), "--out", str(rows_out),
+                                        "--summary-out", str(summary_out)])
+            assert code == 0, err
+            outputs.append((rows_out.read_bytes(), summary_out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, ["batch", "--input", str(tmp_path / "absent.csv")])
         assert code == 2

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from cfstcol import (
     evaluate_dataset,
     parse_dataset,
     predict,
+    predict_all,
 )
 from cfstcol.dataset import CSV_HEADER
 
@@ -163,14 +165,15 @@ class TestEvaluate:
             assert a.mean == approx(b.mean, rel=1e-12)
             assert a.std == approx(b.std, rel=1e-12)
 
-    def test_parallel_matches_sequential(self):
-        records = [record(source_id=f"r{i}", D=150 + 7 * i, ntest=600 + 13 * i) for i in range(25)]
-        rows_seq, summaries_seq = evaluate_dataset(records, parallel=False)
-        rows_par, summaries_par = evaluate_dataset(records, parallel=True)
-        assert summaries_seq == summaries_par
-        for a, b in zip(rows_seq, rows_par):
-            assert a.index == b.index
-            assert [p.N_u for p in a.predictions] == [p.N_u for p in b.predictions]
+    def test_value_types_survive_pickle(self):
+        column, _ = column_from_record(record(fu=450.0, dmax=16.0))
+        restored = pickle.loads(pickle.dumps(column))
+        assert restored == column
+        assert (restored.A_s, restored.A_c, restored.xi_c) == (column.A_s, column.A_c, column.xi_c)
+        predictions = predict_all(column)
+        assert pickle.loads(pickle.dumps(predictions)) == predictions
+        rows, _ = evaluate_dataset([record(), record(fc=150.0, kind=SpecimenKind.CUBE100)])
+        assert pickle.loads(pickle.dumps(rows)) == rows
 
     def test_rows_keep_predictions_when_inapplicable(self):
         rows, _ = evaluate_dataset([record(fc=15.0)], (MethodId.EC4,))

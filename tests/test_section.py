@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from cfstcol import (
     CircularSection,
+    ColumnSpec,
     ConcreteClass,
     ConcreteMaterial,
     ConversionError,
@@ -236,6 +238,29 @@ class TestColumnSpec:
         assert r1.ld_ratio == approx(3.0)
         assert r1.alpha_s == approx(0.234567901235, rel=1e-9)
         assert r1.xi_c == approx(2.34567901235, rel=1e-9)
+
+    def test_derived_fields_match_section_functions(self, make_column):
+        column = make_column(219.1, 4.78, 600.0, 355.0, 47.5)
+        A_s, A_c = section_areas(column.section)
+        assert (column.A_s, column.A_c) == (A_s, A_c)
+        assert column.dt_ratio == 219.1 / 4.78
+        assert column.ld_ratio == 600.0 / 219.1
+        assert column.alpha_s == A_s / A_c
+        assert column.xi_c == confinement_factor(A_s, 355.0, A_c, 47.5)
+
+    def test_derived_fields_excluded_from_eq_and_repr(self, r1):
+        twin = ColumnSpec(r1.section, r1.steel, r1.concrete)
+        object.__setattr__(twin, "xi_c", -1.0)
+        assert twin == r1
+        assert "xi_c" not in repr(r1) and "A_s" not in repr(r1)
+        assert not hasattr(r1, "__dict__")
+
+    def test_replace_recomputes_derived_fields(self, r1):
+        wider = dataclasses.replace(r1, section=CircularSection(200.0, 5.0, 300.0))
+        assert wider.A_c == section_areas(wider.section)[1]
+        assert wider.dt_ratio == 40.0
+        assert wider.ld_ratio == 1.5
+        assert wider.xi_c < r1.xi_c
 
     def test_flags_aggregate(self, make_column):
         column = make_column(100, 5, 300, 900, 200)
