@@ -55,6 +55,9 @@ class MethodId(Enum):
     DE_OLIVEIRA = "de_oliveira"
     PROPOSED = "proposed"
 
+    # singletons compared by identity: the C-level hash agrees with == and is cheap
+    __hash__ = object.__hash__
+
 
 class OliveiraMode(Enum):
     """Slenderness factor handling for the De Oliveira formula above L/D = 3.

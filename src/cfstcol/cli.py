@@ -24,7 +24,8 @@ from .capacity import (
 from .cards import render_cdpm_card
 from .dataset import (
     RATIO_ORIENTATION,
-    evaluate_dataset,
+    RatioStats,
+    evaluate_rows,
     parse_dataset,
 )
 from .materials import sample_concrete_curve, sample_steel_curve, steel_curve_params
@@ -272,7 +273,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     parsed = parse_dataset(text)
     methods = _parse_methods(args.method)
     settings = _settings(args)
-    rows, summaries = evaluate_dataset(parsed.records, methods, settings, Ec_override=args.ec)
 
     header = ["index", "source_id", "D_mm", "t_mm", "L_mm", "fy_MPa", "fu_MPa", "Es_MPa",
               "fc_measured_MPa", "fc_kind", "dmax_mm", "Ntest_kN", "fc_MPa",
@@ -280,9 +280,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     for m in methods:
         header += [f"Nu_{m.value}_kN", f"applicable_{m.value}"]
     header.append("diagnostics")
+    stats = RatioStats(methods)
     with _output(args.out) as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for row in evaluate_rows(parsed.records, methods, settings, Ec_override=args.ec):
+            stats.add(row)
             rec = row.record
             cells = [
                 str(row.index), rec.source_id, f"{rec.D:g}", f"{rec.t:g}", f"{rec.L:g}",
@@ -320,7 +322,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 "std": s.std,
                 "cov": s.cov,
             }
-            for s in summaries
+            for s in stats.summaries()
         ],
     }
     text = json.dumps(summary, indent=2) + "\n"

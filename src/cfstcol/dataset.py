@@ -8,7 +8,8 @@ documented default"):
 Evaluation runs the requested predictors per row and summarises the
 test-to-prediction ratios N_test/N_u per method (arithmetic mean, sample
 standard deviation, coefficient of variation) over the rows that pass the
-method's applicability limits.
+method's applicability limits.  The STD is correctly rounded from exact
+sums, so every Python version gives the same bits.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-import statistics
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .capacity import (
     DEFAULT_SETTINGS,
@@ -216,26 +216,67 @@ def _evaluate_row(
     )
 
 
-def _summarise(method: MethodId, position: int, rows: list[RowResult]) -> StatsSummary:
-    ratios: list[float] = []
-    n_applicable = 0
-    for row in rows:
+def _sample_std(ratios: list[float]) -> float:
+    """Sample STD (n-1) of finite floats, correctly rounded on every Python version.
+
+    The sums are exact integers over one power-of-two denominator; the root is
+    rounded to odd at 109 bits, then to a float, as in CPython 3.11's ``stdev``.
+    """
+    pairs = [x.as_integer_ratio() for x in ratios]
+    k = max(d for _, d in pairs).bit_length() - 1
+    xs = [p << (k + 1 - d.bit_length()) for p, d in pairs]
+    n, sx = len(xs), sum(xs)
+    num = n * sum(x * x for x in xs) - sx * sx
+    den = n * (n - 1) << 2 * k
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    num, den = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)
+    a = math.isqrt(num // den)
+    a |= a * a * den != num
+    return float(a << q) if q >= 0 else a / (1 << -q)
+
+
+class RatioStats:
+    """Per-method N_test/N_u accumulators, fed one evaluated row at a time."""
+
+    def __init__(self, methods: tuple[MethodId, ...]) -> None:
+        self.methods = methods
+        self.n_total = 0
+        self.n_applicable = [0] * len(methods)
+        self.ratios: list[list[float]] = [[] for _ in methods]
+
+    def add(self, row: RowResult) -> None:
+        self.n_total += 1
         if row.error is not None:
-            continue
-        pred = row.predictions[position]
-        if not pred.applicability.applicable:
-            continue
-        n_applicable += 1
-        if math.isfinite(pred.N_u) and pred.N_u != 0.0:
-            # both sides in kN so that N_test == N_u gives a ratio of exactly 1
-            ratios.append(row.record.N_test_kN / (pred.N_u / 1e3))
-    mean = std = cov = None
-    if ratios:
-        mean = statistics.fmean(ratios)
-        if len(ratios) >= 2:
-            std = statistics.stdev(ratios)
-            cov = std / mean if mean > 0 else None
-    return StatsSummary(method, n_applicable, len(rows), mean, std, cov)
+            return
+        N_test = row.record.N_test_kN
+        for i, pred in enumerate(row.predictions):
+            if pred.applicability.applicable:
+                self.n_applicable[i] += 1
+                if math.isfinite(pred.N_u) and pred.N_u != 0.0:
+                    # both sides in kN so that N_test == N_u gives a ratio of exactly 1
+                    self.ratios[i].append(N_test / (pred.N_u / 1e3))
+
+    def summaries(self) -> list[StatsSummary]:
+        out = []
+        for method, n_applicable, ratios in zip(self.methods, self.n_applicable, self.ratios):
+            mean = std = cov = None
+            if ratios:
+                mean = math.fsum(ratios) / len(ratios)
+                if len(ratios) >= 2:
+                    # a NaN or infinite N_test passes parsing and makes the mean non-finite
+                    std = _sample_std(ratios) if math.isfinite(mean) else math.nan
+                    cov = std / mean if mean > 0 else None
+            out.append(StatsSummary(method, n_applicable, self.n_total, mean, std, cov))
+        return out
+
+
+def evaluate_rows(
+    records: Iterable[SpecimenRecord], methods: tuple[MethodId, ...],
+    settings: PredictionSettings = DEFAULT_SETTINGS, Ec_override: float | None = None,
+) -> Iterator[RowResult]:
+    """Evaluate records one at a time, in input order, yielding each row's result."""
+    for i, rec in enumerate(records):
+        yield _evaluate_row(i, rec, methods, settings, Ec_override)
 
 
 def evaluate_dataset(
@@ -254,9 +295,8 @@ def evaluate_dataset(
     """
     if methods is None:
         methods = tuple(MethodId)
-    rows = [
-        _evaluate_row(i, rec, methods, settings, Ec_override)
-        for i, rec in enumerate(records)
-    ]
-    summaries = [_summarise(m, pos, rows) for pos, m in enumerate(methods)]
-    return rows, summaries
+    rows = list(evaluate_rows(records, methods, settings, Ec_override))
+    stats = RatioStats(methods)
+    for row in rows:
+        stats.add(row)
+    return rows, stats.summaries()

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -410,3 +411,13 @@ class TestCrossCutting:
         pred = predict_yu(make_column(100, 5, 300, 600, 80))
         assert not pred.applicability.applicable
         assert pred.N_u > 0
+
+
+class TestMethodId:
+    def test_lookup_by_value_finds_member(self):
+        for i, m in enumerate(MethodId):
+            assert {m: i}[MethodId(m.value)] == i
+
+    def test_pickle_returns_the_member(self):
+        for m in MethodId:
+            assert pickle.loads(pickle.dumps(m)) is m

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from cfstcol import MethodId, predict
+from cfstcol import MethodId, evaluate_dataset, parse_dataset, predict
 from cfstcol.cli import main
 from cfstcol.dataset import CSV_HEADER
 
 from conftest import build_column
+from test_acceptance import GATING_ROWS
 
 R1_ARGS = ["--D", "100", "--t", "5", "--L", "300", "--fy", "300", "--fu", "450",
            "--Es", "200000", "--fc", "30"]
@@ -251,6 +252,26 @@ class TestBatch:
         assert outputs["plain"][0] != outputs["stiff"][0]
         assert outputs["plain"][1]["config"]["Ec_override"] is None
         assert outputs["stiff"][1]["config"]["Ec_override"] == 60000.0
+
+    def test_streamed_summary_matches_evaluate_dataset(self, capsys, tmp_path):
+        # the acceptance gating rows with varied N_test, a row whose strength
+        # cannot be converted and a row that does not parse
+        lines = [f"{s},{D},{t},{L},{fy},,,{fc},{kind},,{500 + 37 * i}"
+                 for i, (s, D, t, L, fy, fc, kind) in enumerate(GATING_ROWS)]
+        lines += ["uhsc,200,5,600,400,,,150,CUBE100,,900", "nocore,100,50,300,300,,,30,CYL150,,650"]
+        text = ",".join(CSV_HEADER) + "\n" + "\n".join(lines) + "\n"
+        source = tmp_path / "specimens.csv"
+        source.write_text(text)
+        summary_out = tmp_path / "summary.json"
+        code, _, _ = run(capsys, ["batch", "--input", str(source), "--out", str(tmp_path / "rows.csv"),
+                                  "--summary-out", str(summary_out)])
+        assert code == 0
+        parsed = parse_dataset(text)
+        rows, summaries = evaluate_dataset(parsed.records)
+        assert len(parsed.errors) == 1 and sum(row.error is not None for row in rows) == 1
+        expected = [{"method": s.method.value, "n_applicable": s.n_applicable, "n_total": s.n_total,
+                     "mean": s.mean, "std": s.std, "cov": s.cov} for s in summaries]
+        assert json.loads(summary_out.read_text())["summaries"] == expected
 
     def test_summary_json_round_trip(self, capsys, tmp_path):
         source = tmp_path / "specimens.csv"

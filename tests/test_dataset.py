@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 
@@ -13,7 +14,7 @@ from cfstcol import (
     predict,
     predict_all,
 )
-from cfstcol.dataset import CSV_HEADER
+from cfstcol.dataset import CSV_HEADER, _sample_std
 
 approx = pytest.approx
 
@@ -180,3 +181,30 @@ class TestEvaluate:
         pred = rows[0].predictions[0]
         assert not pred.applicability.applicable
         assert pred.N_u > 0
+
+    def test_accepts_one_shot_generator(self):
+        records = [record(source_id=f"r{i}", D=150 + 10 * i, ntest=500 + 40 * i) for i in range(5)]
+        rows, summaries = evaluate_dataset((rec for rec in records), (MethodId.ACI, MethodId.YU))
+        assert [row.index for row in rows] == list(range(5))
+        assert [row.record for row in rows] == records
+        assert (rows, summaries) == evaluate_dataset(records, (MethodId.ACI, MethodId.YU))
+
+    def test_non_finite_ntest_gives_nan_std_not_a_crash(self):
+        records = [record(), record(ntest=math.nan), record(ntest=900.0)]
+        _, summaries = evaluate_dataset(records, (MethodId.ACI,))
+        s = summaries[0]
+        assert s.n_applicable == 3
+        assert math.isnan(s.mean) and math.isnan(s.std) and s.cov is None
+
+
+class TestSampleStd:
+    def test_correctly_rounded_literal(self):
+        # statistics.stdev gives 0.2803121771644369 under Python 3.10; the
+        # correctly rounded value (3.11+) is one unit in the last place above
+        assert _sample_std([0.789, 1.461, 1.039, 1.178]) == 0.28031217716443696
+
+    def test_exact_variances(self):
+        assert _sample_std([1.0, 3.0]) == math.sqrt(2.0)
+        assert _sample_std([0.1, 0.1, 0.1]) == 0.0
+        assert _sample_std([2.0**-1000, 3 * 2.0**-1000]) == math.sqrt(2.0) * 2.0**-1000
+        assert _sample_std([2.0**60, 2.0**60 + 2.0**9]) == math.sqrt(2.0) * 2.0**8
