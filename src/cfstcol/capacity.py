@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 from .section import (
     ColumnSpec,
     ConcreteClass,
+    _require_finite,
     classify_concrete,
     section_second_moments,
 )
@@ -84,6 +85,7 @@ class PredictionSettings:
     def __post_init__(self) -> None:
         if self.K_e <= 0 or self.K <= 0 or self.r_cc <= 0 or self.dbj_fck_factor <= 0:
             raise ValueError("all settings factors must be positive")
+        _require_finite(K_e=self.K_e, K=self.K, r_cc=self.r_cc, dbj_fck_factor=self.dbj_fck_factor)
 
 
 DEFAULT_SETTINGS = PredictionSettings()

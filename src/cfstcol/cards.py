@@ -46,7 +46,7 @@ def render_cdpm_card(column: ColumnSpec, n: int = 50, eps_max: float = 0.03) -> 
         f"{_fmt(params.psi)} {params.ecc:g} {_fmt(params.fb0_ratio)} {_fmt(params.K_c)} {params.viscosity:g}",
         "[COMPRESSION TABLE]",
     ]
-    lines.extend(f"{_fmt(eps)} {_fmt(sigma)}" for eps, sigma in curve.points)
+    lines += [f"{eps:.6g} {sigma:.6g}" for eps, sigma in curve.points]
     lines += [
         "[TENSION]",
         f"Gf {_fmt(params.G_f)}",

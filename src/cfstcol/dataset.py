@@ -124,6 +124,10 @@ def _parse_row(line: int, cells: list[str]) -> SpecimenRecord:
     MeasuredStrength(fc_measured, fc_kind)
     if d_max is not None and d_max < 0:
         raise ValueError("dmax_mm: must be non-negative")
+    if not math.isfinite(N_test):
+        raise ValueError("Ntest_kN: must be finite")
+    if d_max is not None and not math.isfinite(d_max):
+        raise ValueError("dmax_mm: must be finite")
     return SpecimenRecord(
         raw["source_id"], D, t, L, f_y, f_u, E_s, fc_measured, fc_kind, d_max,
         N_test, tuple(defaulted),

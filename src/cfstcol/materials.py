@@ -12,11 +12,12 @@ parameter set used by FE material cards.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .section import ColumnSpec, SteelMaterial
+from .section import ColumnSpec, SteelMaterial, _require_finite
 
 PSI_MAX = 56.3  # deg, upper bound of the dilation-angle regression
 BETA_SOFTENING = 1.2
@@ -41,7 +42,7 @@ class StressStrainCurve:
         if self.points[0] != (0.0, 0.0):
             raise ValueError("curve must start at (0, 0)")
         strains = [p[0] for p in self.points]
-        if any(b <= a for a, b in zip(strains, strains[1:])):
+        if not all(map(operator.lt, strains, strains[1:])):
             raise ValueError("strains must be strictly increasing")
 
     @property
@@ -109,6 +110,28 @@ def steel_curve_params(steel: SteelMaterial) -> SteelCurveParams:
     return SteelCurveParams(eps_y, eps_p, eps_u, E_p, p, tuple(flags))
 
 
+def _steel_stresses(
+    strains: Sequence[float], steel: SteelMaterial, params: SteelCurveParams
+) -> list[float]:
+    """Steel stresses (MPa) along a strain sequence, the curve's constants taken once."""
+    E_s, f_y, f_u = steel.E_s, steel.f_y, steel.f_u
+    eps_y, eps_p, eps_u, p = params.eps_y, params.eps_p, params.eps_u, params.p
+    span, rise = eps_u - eps_p, f_u - f_y
+    stresses = []
+    for eps in strains:
+        if eps < 0:
+            raise ValueError("strain must be non-negative (use magnitude symmetry for compression)")
+        if eps <= eps_y:
+            stresses.append(E_s * eps)
+        elif eps <= eps_p or p is None:
+            stresses.append(f_y)
+        elif eps <= eps_u:
+            stresses.append(f_u - rise * ((eps_u - eps) / span) ** p)
+        else:
+            stresses.append(f_u)
+    return stresses
+
+
 def steel_stress(eps: float, steel: SteelMaterial, params: SteelCurveParams) -> float:
     """Steel stress (MPa) at a tensile strain magnitude.
 
@@ -116,16 +139,7 @@ def steel_stress(eps: float, steel: SteelMaterial, params: SteelCurveParams) -> 
     to eps_u, constant f_u beyond.  Compression is handled by magnitude
     symmetry at call sites; negative strains are rejected here.
     """
-    if eps < 0:
-        raise ValueError("strain must be non-negative (use magnitude symmetry for compression)")
-    if eps <= params.eps_y:
-        return steel.E_s * eps
-    if eps <= params.eps_p or params.degenerate_plateau:
-        return steel.f_y
-    if eps <= params.eps_u:
-        frac = (params.eps_u - eps) / (params.eps_u - params.eps_p)
-        return steel.f_u - (steel.f_u - steel.f_y) * frac**params.p
-    return steel.f_u
+    return _steel_stresses((eps,), steel, params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +262,11 @@ def softening_params(xi_c: float) -> tuple[float, float]:
     """Softening-branch shape (alpha, beta); beta is fixed at 1.2."""
     if xi_c < 0:
         raise ValueError("xi_c must be non-negative")
-    alpha = 0.04 - 0.036 / (1.0 + math.exp(6.08 * xi_c - 3.49))
+    try:
+        growth = math.exp(6.08 * xi_c - 3.49)
+    except OverflowError:  # thick tubes, xi_c above ~117: alpha takes its limit 0.04 exactly
+        growth = math.inf
+    alpha = 0.04 - 0.036 / (1.0 + growth)
     return alpha, BETA_SOFTENING
 
 
@@ -291,25 +309,38 @@ def confined_concrete_params(
     return ConfinedConcreteParams(eps_c0, f_r, eps_cc, f_re, alpha, beta, tuple(flags))
 
 
+def _concrete_stresses(
+    strains: Sequence[float], f_c: float, E_c: float, params: ConfinedConcreteParams
+) -> list[float]:
+    """Confined concrete stresses (MPa) along a strain sequence, the curve's constants taken once."""
+    eps_c0, eps_cc, f_re = params.eps_c0, params.eps_cc, params.f_re
+    alpha, beta = params.alpha, params.beta
+    A = E_c * eps_c0 / f_c
+    B = (A - 1.0) ** 2 / 0.55 - 1.0
+    A_2, B_1, drop = A - 2.0, B + 1.0, f_c - f_re
+    stresses = []
+    for eps in strains:
+        if eps < 0:
+            raise ValueError("strain must be non-negative")
+        if eps == 0.0:
+            stresses.append(0.0)
+        elif eps <= eps_c0:
+            x = eps / eps_c0
+            stresses.append(f_c * (A * x + B * x * x) / (1.0 + A_2 * x + B_1 * x * x))
+        elif eps <= eps_cc:
+            stresses.append(f_c)
+        else:
+            stresses.append(f_re + drop * math.exp(-(((eps - eps_cc) / alpha) ** beta)))
+    return stresses
+
+
 def concrete_stress(eps: float, f_c: float, E_c: float, params: ConfinedConcreteParams) -> float:
     """Confined concrete stress (MPa) at a compressive strain magnitude.
 
     Nonlinear ascent to f_c at eps_c0, constant f_c to eps_cc, then
     exponential softening towards the residual stress.
     """
-    if eps < 0:
-        raise ValueError("strain must be non-negative")
-    if eps == 0.0:
-        return 0.0
-    if eps <= params.eps_c0:
-        A = E_c * params.eps_c0 / f_c
-        B = (A - 1.0) ** 2 / 0.55 - 1.0
-        x = eps / params.eps_c0
-        return f_c * (A * x + B * x * x) / (1.0 + (A - 2.0) * x + (B + 1.0) * x * x)
-    if eps <= params.eps_cc:
-        return f_c
-    decay = math.exp(-(((eps - params.eps_cc) / params.alpha) ** params.beta))
-    return params.f_re + (f_c - params.f_re) * decay
+    return _concrete_stresses((eps,), f_c, E_c, params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +358,7 @@ def sample_grid(breakpoints: Sequence[float], eps_max: float, n: int) -> list[fl
     """
     if eps_max <= 0:
         raise ValueError("eps_max must be positive")
+    _require_finite(eps_max=eps_max)
     if n < 2:
         raise ValueError("need at least two samples")
     knots = sorted({0.0, eps_max} | {b for b in breakpoints if 0.0 < b < eps_max})
@@ -341,8 +373,9 @@ def sample_grid(breakpoints: Sequence[float], eps_max: float, n: int) -> list[fl
         counts[i] += 1
     grid: list[float] = []
     for (a, b), k in zip(zip(knots, knots[1:]), counts):
+        d, m = b - a, k + 1
         grid.append(a)
-        grid.extend(a + (b - a) * j / (k + 1) for j in range(1, k + 1))
+        grid += [a + d * j / m for j in range(1, m)]
     grid.append(knots[-1])
     return grid
 
@@ -358,7 +391,7 @@ def sample_steel_curve(
     if eps_max is None:
         eps_max = params.eps_u
     grid = sample_grid((params.eps_y, params.eps_p, params.eps_u), eps_max, n)
-    points = tuple((e, steel_stress(e, steel, params)) for e in grid)
+    points = tuple(zip(grid, _steel_stresses(grid, steel, params)))
     return StressStrainCurve(points, CurveKind.STEEL)
 
 
@@ -368,5 +401,5 @@ def sample_concrete_curve(column: ColumnSpec, n: int, eps_max: float) -> StressS
     f_c = column.concrete.f_c
     E_c = column.concrete.E_c
     grid = sample_grid((params.eps_c0, params.eps_cc), eps_max, n)
-    points = tuple((e, concrete_stress(e, f_c, E_c, params)) for e in grid)
+    points = tuple(zip(grid, _concrete_stresses(grid, f_c, E_c, params)))
     return StressStrainCurve(points, CurveKind.CONCRETE_CONFINED)

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 from .materials import (
     ConfinedConcreteParams,
-    concrete_stress,
+    _concrete_stresses,
+    _steel_stresses,
     confined_concrete_params,
     sample_grid,
     steel_curve_params,
-    steel_stress,
 )
 from .section import ColumnSpec
 
@@ -72,14 +72,8 @@ def response_curve(
     breakpoints = (sparams.eps_y, sparams.eps_p, sparams.eps_u, cparams.eps_c0, cparams.eps_cc)
     grid = sample_grid(breakpoints, eps_max, n)
     A_s, A_c = column.A_s, column.A_c
-    f_c, E_c = column.concrete.f_c, column.concrete.E_c
-    points = tuple(
-        (
-            eps,
-            steel_stress(eps, column.steel, sparams) * A_s
-            + concrete_stress(eps, f_c, E_c, cparams) * A_c,
-        )
-        for eps in grid
-    )
+    steel = _steel_stresses(grid, column.steel, sparams)
+    concrete = _concrete_stresses(grid, column.concrete.f_c, column.concrete.E_c, cparams)
+    points = tuple(zip(grid, [s * A_s + c * A_c for s, c in zip(steel, concrete)]))
     best_load, best_eps = peak_load(points)
     return AxialResponse(points, best_load, best_eps, points[-1][1])

@@ -19,6 +19,17 @@ FY_VALID_RANGE = (200.0, 800.0)
 FC_VALID_RANGE = (12.5, 185.6)
 
 
+def _require_finite(**values: float) -> None:
+    """Reject NaN and infinities, which pass every ``<= 0`` check, naming the first offender.
+
+    Per-row constructors call it only when the product of their values is not
+    finite, which a product of finite values can only be by overflowing.
+    """
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value:g}")
+
+
 class SectionError(ValueError):
     """Geometrically impossible tube section (e.g. no concrete core left)."""
 
@@ -87,6 +98,8 @@ class MeasuredStrength:
     def __post_init__(self) -> None:
         if self.value <= 0:
             raise ValueError("measured strength must be positive")
+        if not math.isfinite(self.value):
+            _require_finite(measured_strength=self.value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,6 +166,8 @@ class CircularSection:
             raise SectionError(
                 f"D={self.D:g} mm and t={self.t:g} mm leave no concrete core (need D > 2t)"
             )
+        if not math.isfinite(self.D * self.t * self.L):
+            _require_finite(D=self.D, t=self.t, L=self.L)
 
 
 def section_areas(section: CircularSection) -> tuple[float, float]:
@@ -209,6 +224,8 @@ class SteelMaterial:
             raise ValueError("E_s must be positive")
         if self.f_u < self.f_y:
             raise ValueError(f"f_u={self.f_u:g} MPa below f_y={self.f_y:g} MPa")
+        if not math.isfinite(self.f_y * self.f_u * self.E_s):
+            _require_finite(f_y=self.f_y, f_u=self.f_u, E_s=self.E_s)
 
     @property
     def validity_flags(self) -> tuple[str, ...]:
@@ -246,6 +263,8 @@ class ConcreteMaterial:
             raise ValueError("d_max must be non-negative")
         if self.E_c <= 0:
             raise ValueError("E_c must be positive")
+        if not math.isfinite(self.f_c * self.d_max * self.E_c):
+            _require_finite(f_c=self.f_c, d_max=self.d_max, E_c=self.E_c)
 
     @property
     def validity_flags(self) -> tuple[str, ...]:

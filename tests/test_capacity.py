@@ -407,6 +407,12 @@ class TestCrossCutting:
         for method in (MethodId.LIU, MethodId.SUN, MethodId.ZHONG_MIAO, MethodId.PROPOSED, MethodId.CISC):
             assert check_applicability(method, column).applicable
 
+    @pytest.mark.parametrize("field", ["K_e", "K", "r_cc", "dbj_fck_factor"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_settings_reject_non_finite(self, field, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            PredictionSettings(**{field: bad})
+
     def test_inapplicable_still_reports_load(self, make_column):
         pred = predict_yu(make_column(100, 5, 300, 600, 80))
         assert not pred.applicability.applicable

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -280,6 +281,83 @@ class TestBatch:
         run(capsys, ["batch", "--input", str(source), "--summary-out", str(summary_out)])
         text = summary_out.read_text()
         assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+
+# xi_c = 990: the softening exponential overflows a float
+THICK_TUBE_ARGS = ["--D", "100", "--t", "45", "--L", "300", "--fy", "300", "--fc", "30"]
+
+
+class TestThickTube:
+    def test_cdpm_writes_a_finite_table(self, capsys):
+        code, out, err = run(capsys, ["cdpm", *THICK_TUBE_ARGS])
+        assert code == 0, err
+        lines = out.splitlines()
+        table = lines[lines.index("[COMPRESSION TABLE]") + 1:lines.index("[TENSION]")]
+        assert len(table) >= 50
+        assert all(math.isfinite(float(cell)) for line in table for cell in line.split())
+
+    @pytest.mark.parametrize("command", [["respond"], ["curve", "--material", "concrete"]])
+    def test_curve_commands_succeed(self, capsys, command):
+        code, out, err = run(capsys, [*command, *THICK_TUBE_ARGS])
+        assert code == 0, err
+        assert all(math.isfinite(float(cell)) for line in out.splitlines()[1:]
+                   for cell in line.split(","))
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestNonFiniteInputs:
+    def test_cdpm_nan_strength_exits_2(self, capsys):
+        code, out, err = run(capsys, ["cdpm", "--D", "100", "--t", "5", "--L", "300",
+                                      "--fy", "300", "--fc", "nan"])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_predict_nan_length_exits_2_without_json(self, capsys):
+        code, out, err = run(capsys, ["predict", "--D", "100", "--t", "5", "--L", "nan",
+                                      "--fy", "300", "--fc", "30", "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert "L must be finite" in err
+
+    def test_respond_nan_eps_max_exits_2_with_a_clear_message(self, capsys):
+        code, _, err = run(capsys, ["respond", *R1_ARGS, "--eps-max", "nan"])
+        assert code == 2
+        assert "eps_max must be finite" in err
+        assert "integer" not in err
+
+    @pytest.mark.parametrize("flag,value", [("--fu", "inf"), ("--Es", "nan"), ("--dmax", "inf"),
+                                            ("--ec", "nan"), ("--ke", "inf"), ("--keff", "nan"),
+                                            ("--rcc", "inf")])
+    def test_every_numeric_flag_rejects_non_finite(self, capsys, flag, value):
+        code, out, err = run(capsys, ["predict", *R1_ARGS, flag, value, "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_batch_rows_become_row_errors_and_summary_is_strict_json(self, capsys, tmp_path):
+        text = ",".join(CSV_HEADER) + "\n" + \
+            "ok,100,5,300,300,450,200000,30,CYL150,20,650\n" + \
+            "longinf,100,5,inf,300,450,200000,30,CYL150,20,650\n" + \
+            "ntestnan,100,5,300,300,450,200000,30,CYL150,20,nan\n"
+        source = tmp_path / "nonfinite.csv"
+        source.write_text(text)
+        summary_out = tmp_path / "summary.json"
+        code, _, err = run(capsys, ["batch", "--input", str(source), "--method", "all",
+                                    "--out", str(tmp_path / "rows.csv"),
+                                    "--summary-out", str(summary_out)])
+        assert code == 0, err
+        summary = _strict_json(summary_out.read_text())
+        assert [e["line"] for e in summary["row_errors"]] == [3, 4]
+        assert "L must be finite" in summary["row_errors"][0]["message"]
+        assert "Ntest_kN" in summary["row_errors"][1]["message"]
+        assert summary["n_rows"] == 1
+        assert all(s["n_total"] == 1 for s in summary["summaries"])
 
 
 class TestUsage:

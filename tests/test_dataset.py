@@ -78,6 +78,19 @@ class TestParse:
         assert "no concrete core" in parsed.errors[0].message
         assert "fy_MPa" in parsed.errors[1].message
 
+    @pytest.mark.parametrize("cell", ["D_mm", "t_mm", "L_mm", "fy_MPa", "fu_MPa", "Es_MPa",
+                                      "fc_measured_MPa", "dmax_mm", "Ntest_kN"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-nan", "Infinity"])
+    def test_non_finite_cells_are_row_errors(self, cell, value):
+        cells = dict(zip(CSV_HEADER, "s,100,5,300,300,450,200000,30,CYL150,20,650".split(",")))
+        cells[cell] = value
+        parsed = parse_dataset(HEADER + "\n" + ",".join(cells.values()) + "\n")
+        assert parsed.records == ()
+        # an infinite wall or yield strength was refused before, and keeps its message
+        kept = {"t_mm": "no concrete core", "fy_MPa": "below f_y"}
+        expected = "must be finite" if "nan" in value else kept.get(cell, "must be finite")
+        assert len(parsed.errors) == 1 and expected in parsed.errors[0].message
+
     def test_wrong_column_count(self):
         parsed = parse_dataset(HEADER + "\nA1,100,5,300\n")
         assert parsed.errors[0].line == 2

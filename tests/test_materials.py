@@ -23,7 +23,10 @@ from cfstcol import (
     steel_curve_params,
     steel_stress,
 )
-from cfstcol.materials import StressStrainCurve, sample_grid
+from cfstcol.capacity import DATABASE_ENVELOPE
+from cfstcol.materials import StressStrainCurve, _concrete_stresses, _steel_stresses, sample_grid
+
+from conftest import build_column
 
 approx = pytest.approx
 
@@ -198,6 +201,11 @@ class TestConfinedConcreteScalars:
             assert 0.004 <= alpha <= 0.04
             assert beta == 1.2
 
+    def test_softening_params_thick_tube_takes_the_exact_limit(self):
+        # exp(6.08*xi_c - 3.49) overflows above xi_c ~ 117.3; alpha's limit is 0.04
+        assert softening_params(1000.0) == (0.04, 1.2)
+        assert softening_params(117.0) == (0.04, 1.2)
+
 
 class TestConcreteStress:
     def test_reference_params(self, r1):
@@ -274,6 +282,11 @@ class TestSampling:
         grid = sample_grid([0.0015, 0.0225, 0.15], 0.2, 2)
         assert grid == [0.0, 0.0015, 0.0225, 0.15, 0.2]
 
+    @pytest.mark.parametrize("eps_max", [math.nan, math.inf])
+    def test_grid_rejects_non_finite_extent(self, eps_max):
+        with pytest.raises(ValueError, match="eps_max must be finite"):
+            sample_grid([0.001], eps_max, 10)
+
     def test_grid_rejects_bad_args(self):
         with pytest.raises(ValueError):
             sample_grid([], 0.0, 10)
@@ -309,3 +322,112 @@ class TestSampling:
             StressStrainCurve(((0.0, 1.0), (0.1, 2.0)), CurveKind.STEEL)
         with pytest.raises(ValueError):
             StressStrainCurve(((0.0, 0.0), (0.1, 2.0), (0.1, 3.0)), CurveKind.STEEL)
+        with pytest.raises(ValueError):
+            StressStrainCurve(((0.0, 0.0), (math.nan, 2.0), (0.1, 3.0)), CurveKind.STEEL)
+
+
+# The per-point formulas as written before the whole-grid kernels, kept as
+# the reference the kernels must reproduce bit for bit.
+def steel_stress_reference(eps, steel, params):
+    if eps < 0:
+        raise ValueError("strain must be non-negative (use magnitude symmetry for compression)")
+    if eps <= params.eps_y:
+        return steel.E_s * eps
+    if eps <= params.eps_p or params.degenerate_plateau:
+        return steel.f_y
+    if eps <= params.eps_u:
+        frac = (params.eps_u - eps) / (params.eps_u - params.eps_p)
+        return steel.f_u - (steel.f_u - steel.f_y) * frac**params.p
+    return steel.f_u
+
+
+def concrete_stress_reference(eps, f_c, E_c, params):
+    if eps < 0:
+        raise ValueError("strain must be non-negative")
+    if eps == 0.0:
+        return 0.0
+    if eps <= params.eps_c0:
+        A = E_c * params.eps_c0 / f_c
+        B = (A - 1.0) ** 2 / 0.55 - 1.0
+        x = eps / params.eps_c0
+        return f_c * (A * x + B * x * x) / (1.0 + (A - 2.0) * x + (B + 1.0) * x * x)
+    if eps <= params.eps_cc:
+        return f_c
+    decay = math.exp(-(((eps - params.eps_cc) / params.alpha) ** params.beta))
+    return params.f_re + (f_c - params.f_re) * decay
+
+
+def bits(values):
+    """Exact images of floats: equal only when every bit, the sign of zero included, agrees."""
+    return [v.hex() for v in values]
+
+
+def assert_kernels_match(column, grid):
+    """Both kernels equal the reference and the scalar functions at every strain of ``grid``."""
+    steel = column.steel
+    sparams = steel_curve_params(steel)
+    got = _steel_stresses(grid, steel, sparams)
+    assert bits(got) == bits(steel_stress_reference(e, steel, sparams) for e in grid)
+    assert bits(got) == bits(steel_stress(e, steel, sparams) for e in grid)
+    f_c, E_c = column.concrete.f_c, column.concrete.E_c
+    for cparams in (confined_concrete_params(column), confined_concrete_params(column, 0.0)):
+        got = _concrete_stresses(grid, f_c, E_c, cparams)
+        assert bits(got) == bits(concrete_stress_reference(e, f_c, E_c, cparams) for e in grid)
+        assert bits(got) == bits(concrete_stress(e, f_c, E_c, cparams) for e in grid)
+
+
+def response_grid(column, eps_max, n):
+    """The response curve's grid, checked against the per-point stage formula."""
+    sparams = steel_curve_params(column.steel)
+    cparams = confined_concrete_params(column)
+    breakpoints = (sparams.eps_y, sparams.eps_p, sparams.eps_u, cparams.eps_c0, cparams.eps_cc)
+    grid = sample_grid(breakpoints, eps_max, n)
+    knots = sorted({0.0, eps_max} | {b for b in breakpoints if 0.0 < b < eps_max})
+    starts = [grid.index(k) for k in knots]
+    for (i, a), (j, b) in zip(zip(starts, knots), zip(starts[1:], knots[1:])):
+        m = j - i
+        assert bits(grid[i:j]) == bits([a] + [a + (b - a) * k / m for k in range(1, m)])
+    return grid
+
+
+def _envelope(name):
+    lo, hi = DATABASE_ENVELOPE[name]
+    return st.floats(lo, hi)
+
+
+class TestStressKernels:
+    """The whole-grid kernels against the per-point formulas, compared with ``==`` on the bits."""
+
+    def test_reference_column_grids(self, r1):
+        for eps_max, n in ((0.03, 200), (0.2, 57), (0.001, 8)):
+            assert_kernels_match(r1, response_grid(r1, eps_max, n))
+
+    @given(D=_envelope("D"), dt=_envelope("D/t"), ld=_envelope("L/D"), fy=_envelope("f_y"),
+           fc=_envelope("f_c"), hardening=st.one_of(st.none(), st.floats(1.0, 1.6)),
+           eps_max=st.floats(1e-4, 0.2), n=st.integers(8, 300))
+    def test_envelope_columns(self, D, dt, ld, fy, fc, hardening, eps_max, n):
+        fu = None if hardening is None else fy * hardening
+        column = build_column(D, D / dt, D * ld, fy, fc, fu=fu)
+        assert_kernels_match(column, response_grid(column, eps_max, n))
+
+    def test_degenerate_plateau(self, make_column):
+        column = make_column(100.0, 5.0, 300.0, 300.0, 30.0, fu=300.0)
+        assert_kernels_match(column, response_grid(column, 0.2, 100))
+
+    def test_non_finite_and_signed_zero_strains(self, r1):
+        sparams = steel_curve_params(STEEL_R1)
+        cparams = confined_concrete_params(r1)
+        strains = [math.nan, math.inf, -0.0, 0.0, 1e-300, sparams.eps_u, cparams.eps_cc]
+        assert_kernels_match(r1, strains)
+        steel = _steel_stresses(strains, STEEL_R1, sparams)
+        concrete = _concrete_stresses(strains, 30.0, r1.concrete.E_c, cparams)
+        assert steel[:3] == [450.0, 450.0, 0.0] and math.copysign(1.0, steel[2]) == -1.0
+        assert math.isnan(concrete[0]) and concrete[1] == cparams.f_re and concrete[2] == 0.0
+
+    def test_negative_strain_inside_a_sequence_raises(self, r1):
+        sparams = steel_curve_params(STEEL_R1)
+        cparams = confined_concrete_params(r1)
+        with pytest.raises(ValueError, match="non-negative"):
+            _steel_stresses([0.0, 0.001, -1e-9, 0.002], STEEL_R1, sparams)
+        with pytest.raises(ValueError, match="non-negative"):
+            _concrete_stresses([0.0, 0.001, -1e-9, 0.002], 30.0, r1.concrete.E_c, cparams)

@@ -230,6 +230,48 @@ class TestConcreteMaterial:
             ConcreteMaterial(30.0, -1.0)
 
 
+NON_FINITE = [math.nan, math.inf, -math.nan]
+
+
+class TestNonFiniteRejected:
+    """Every value type refuses NaN and infinities where they enter."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("build", [
+        lambda x: CircularSection(x, 5.0, 300.0),
+        lambda x: CircularSection(100.0, 5.0, x),
+        lambda x: SteelMaterial(300.0, x),
+        lambda x: SteelMaterial(300.0, 450.0, x),
+        lambda x: ConcreteMaterial(x),
+        lambda x: ConcreteMaterial(30.0, x),
+        lambda x: ConcreteMaterial(30.0, 20.0, x),
+        lambda x: MeasuredStrength(x, SpecimenKind.CYL150),
+    ])
+    def test_constructor_rejects(self, build, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            build(bad)
+
+    def test_nan_wall_and_yield_rejected(self):
+        with pytest.raises(ValueError, match="t must be finite"):
+            CircularSection(100.0, math.nan, 300.0)
+        with pytest.raises(ValueError, match="f_y must be finite"):
+            SteelMaterial(math.nan, 450.0)
+        with pytest.raises(ValueError, match="f_y must be finite"):
+            SteelMaterial(math.inf)  # the defaulted f_u is infinite too
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: CircularSection(-math.inf, 5.0, 300.0), "D, t and L must all be positive"),
+        (lambda: CircularSection(100.0, math.inf, 300.0), "leave no concrete core"),
+        (lambda: SteelMaterial(math.inf, 450.0), "below f_y"),
+        (lambda: SteelMaterial(-math.inf), "f_y must be positive"),
+        (lambda: ConcreteMaterial(-math.inf), "f_c must be positive"),
+        (lambda: MeasuredStrength(-math.inf, SpecimenKind.CYL150), "measured strength must be positive"),
+    ])
+    def test_values_rejected_before_keep_their_message(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 class TestColumnSpec:
     def test_derived_quantities(self, r1):
         assert r1.A_s == approx(1492.25651046, rel=1e-9)
