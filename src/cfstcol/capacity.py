@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .section import (
@@ -150,105 +151,45 @@ class ProposedFactors:
 # applicability limits
 # ---------------------------------------------------------------------------
 
+# The quantities that applicability limits and the calibration envelope read.
+_QUANTITY: dict[str, Callable[[ColumnSpec], float]] = {
+    "f_y": attrgetter("steel.f_y"),
+    "f_c": attrgetter("concrete.f_c"),
+    "D": attrgetter("section.D"),
+    "L/D": attrgetter("ld_ratio"),
+    "D/t": attrgetter("dt_ratio"),
+    "xi": attrgetter("xi_c"),
+}
 
-def _limits_ec4_aci(column: ColumnSpec) -> list[Violation]:
-    out = []
-    bound = math.sqrt(8.0 * column.steel.E_s / column.steel.f_y)
-    if column.dt_ratio > bound:
-        out.append(Violation("D/t <= sqrt(8*Es/fy)", bound, column.dt_ratio))
-    if column.concrete.f_c < 17.2:
-        out.append(Violation("f_c' >= 17.2 MPa", 17.2, column.concrete.f_c))
-    return out
-
-
-def _limits_aisc(column: ColumnSpec) -> list[Violation]:
-    out = []
-    bound = 0.15 * column.steel.E_s / column.steel.f_y
-    if column.dt_ratio > bound:
-        out.append(Violation("D/t <= 0.15*Es/fy", bound, column.dt_ratio))
-    if column.steel.f_y > 525.0:
-        out.append(Violation("fy <= 525 MPa", 525.0, column.steel.f_y))
-    f_c = column.concrete.f_c
-    if f_c < 21.0:
-        out.append(Violation("21 <= f_c' <= 70 MPa", 21.0, f_c))
-    elif f_c > 70.0:
-        out.append(Violation("21 <= f_c' <= 70 MPa", 70.0, f_c))
-    return out
+# A limit: its printed text, the quantity it reads, and its inclusive lower
+# and upper bounds, infinite when absent; an upper bound may be a function of the column.
+_Bound = float | Callable[[ColumnSpec], float]
+_Limit = tuple[str, Callable[[ColumnSpec], float], float, _Bound]
 
 
-def _limits_dbj(column: ColumnSpec) -> list[Violation]:
-    out = []
-    f_y = column.steel.f_y
-    bound = 150.0 * 235.0 / f_y
-    if column.dt_ratio > bound:
-        out.append(Violation("D/t <= 150*235/fy", bound, column.dt_ratio))
-    if f_y < 235.0:
-        out.append(Violation("235 <= fy <= 420 MPa", 235.0, f_y))
-    elif f_y > 420.0:
-        out.append(Violation("235 <= fy <= 420 MPa", 420.0, f_y))
-    f_c = column.concrete.f_c
-    if f_c < 24.0:
-        out.append(Violation("24 <= f_c' <= 70 MPa", 24.0, f_c))
-    elif f_c > 70.0:
-        out.append(Violation("24 <= f_c' <= 70 MPa", 70.0, f_c))
-    return out
-
-
-def _limits_oshea(column: ColumnSpec) -> list[Violation]:
-    if column.dt_ratio > 200.0:
-        return [Violation("D/t <= 200", 200.0, column.dt_ratio)]
-    return []
-
-
-def _limits_yu(column: ColumnSpec) -> list[Violation]:
-    out = []
-    f_y = column.steel.f_y
-    if f_y < 235.0:
-        out.append(Violation("235 <= fy <= 345 MPa", 235.0, f_y))
-    elif f_y > 345.0:
-        out.append(Violation("235 <= fy <= 345 MPa", 345.0, f_y))
-    f_c = column.concrete.f_c
-    if f_c < 30.0:
-        out.append(Violation("30 <= f_c' <= 60 MPa", 30.0, f_c))
-    elif f_c > 60.0:
-        out.append(Violation("30 <= f_c' <= 60 MPa", 60.0, f_c))
-    xi = column.xi_c
-    if xi < 0.2:
-        out.append(Violation("0.2 <= xi <= 2", 0.2, xi))
-    elif xi > 2.0:
-        out.append(Violation("0.2 <= xi <= 2", 2.0, xi))
-    return out
-
-
-def _limits_guo(column: ColumnSpec) -> list[Violation]:
-    if column.xi_c > 1.7:
-        return [Violation("xi <= 1.7", 1.7, column.xi_c)]
-    return []
-
-
-def _limits_oliveira(column: ColumnSpec) -> list[Violation]:
-    ld = column.ld_ratio
-    if ld < 1.0:
-        return [Violation("1 <= L/D <= 10", 1.0, ld)]
-    if ld > 10.0:
-        return [Violation("1 <= L/D <= 10", 10.0, ld)]
-    return []
-
-
-def _no_limits(column: ColumnSpec) -> list[Violation]:
-    return []
+def _limit(text: str, quantity: str, lo: float = -math.inf, hi: _Bound = math.inf) -> _Limit:
+    return (text, _QUANTITY[quantity], lo, hi)
 
 
 def check_applicability(method: MethodId, column: ColumnSpec) -> ApplicabilityReport:
-    """Evaluate the published limits of one method against a column.
+    """Evaluate the published limits of one method against a column, in printed order.
 
-    Every column within the limits gets the same shared report.
+    Every bound is inclusive. Every column within the limits gets the same shared report.
     """
     try:
         limits = _METHODS[method][1]
     except (KeyError, TypeError):
         raise ValueError(f"unknown method: {method!r}") from None
-    violations = limits(column)
+    violations = []
+    for text, quantity, lo, hi in limits:
+        value = quantity(column)
+        if value < lo:
+            violations.append(Violation(text, lo, value))
+        else:
+            if callable(hi):
+                hi = hi(column)
+            if value > hi:
+                violations.append(Violation(text, hi, value))
     return ApplicabilityReport(False, tuple(violations)) if violations else _APPLICABLE
 
 
@@ -566,16 +507,9 @@ def proposed_factors(column: ColumnSpec) -> ProposedFactors:
 
 
 def _envelope_flags(column: ColumnSpec) -> list[str]:
-    actuals = {
-        "f_y": column.steel.f_y,
-        "f_c": column.concrete.f_c,
-        "D": column.section.D,
-        "L/D": column.ld_ratio,
-        "D/t": column.dt_ratio,
-    }
     flags = []
     for name, (lo, hi) in DATABASE_ENVELOPE.items():
-        value = actuals[name]
+        value = _QUANTITY[name](column)
         if not lo <= value <= hi:
             flags.append(f"{name} = {value:g} outside calibration envelope [{lo:g}, {hi:g}]")
     return flags
@@ -606,23 +540,42 @@ def predict_proposed(column: ColumnSpec) -> CapacityPrediction:
 # dispatch
 # ---------------------------------------------------------------------------
 
-# Per method: the predictor, called as (column, settings, p_0), and its limits.
-_METHODS: dict[
-    MethodId, tuple[Callable[..., CapacityPrediction], Callable[[ColumnSpec], list[Violation]]]
-] = {
-    MethodId.EC4: (lambda c, s, p_0: predict_ec4(c, s), _limits_ec4_aci),
-    MethodId.AISC: (lambda c, s, p_0: predict_aisc(c, s), _limits_aisc),
-    MethodId.CISC: (lambda c, s, p_0: predict_cisc(c, s), _no_limits),
-    MethodId.DBJ: (lambda c, s, p_0: predict_dbj(c, s), _limits_dbj),
-    MethodId.ACI: (lambda c, s, p_0: predict_aci(c), _limits_ec4_aci),
-    MethodId.OSHEA: (lambda c, s, p_0: predict_oshea(c), _limits_oshea),
-    MethodId.YU: (lambda c, s, p_0: predict_yu(c), _limits_yu),
-    MethodId.LIU: (lambda c, s, p_0: predict_liu(c), _no_limits),
-    MethodId.SUN: (lambda c, s, p_0: predict_sun(c), _no_limits),
-    MethodId.ZHONG_MIAO: (lambda c, s, p_0: predict_zhong_miao(c, p_0), _no_limits),
-    MethodId.GUO: (lambda c, s, p_0: predict_guo(c), _limits_guo),
-    MethodId.DE_OLIVEIRA: (lambda c, s, p_0: predict_oliveira(c, s.oliveira_mode), _limits_oliveira),
-    MethodId.PROPOSED: (lambda c, s, p_0: predict_proposed(c), _no_limits),
+_EC4_ACI_LIMITS = (
+    _limit("D/t <= sqrt(8*Es/fy)", "D/t", hi=lambda c: math.sqrt(8.0 * c.steel.E_s / c.steel.f_y)),
+    _limit("f_c' >= 17.2 MPa", "f_c", lo=17.2),
+)
+
+# Per method: the predictor, called as (column, settings, p_0), and its
+# published limits in printed order.
+_METHODS: dict[MethodId, tuple[Callable[..., CapacityPrediction], tuple[_Limit, ...]]] = {
+    MethodId.EC4: (lambda c, s, p_0: predict_ec4(c, s), _EC4_ACI_LIMITS),
+    MethodId.AISC: (lambda c, s, p_0: predict_aisc(c, s), (
+        _limit("D/t <= 0.15*Es/fy", "D/t", hi=lambda c: 0.15 * c.steel.E_s / c.steel.f_y),
+        _limit("fy <= 525 MPa", "f_y", hi=525.0),
+        _limit("21 <= f_c' <= 70 MPa", "f_c", 21.0, 70.0),
+    )),
+    MethodId.CISC: (lambda c, s, p_0: predict_cisc(c, s), ()),
+    MethodId.DBJ: (lambda c, s, p_0: predict_dbj(c, s), (
+        _limit("D/t <= 150*235/fy", "D/t", hi=lambda c: 150.0 * 235.0 / c.steel.f_y),
+        _limit("235 <= fy <= 420 MPa", "f_y", 235.0, 420.0),
+        _limit("24 <= f_c' <= 70 MPa", "f_c", 24.0, 70.0),
+    )),
+    MethodId.ACI: (lambda c, s, p_0: predict_aci(c), _EC4_ACI_LIMITS),
+    MethodId.OSHEA: (lambda c, s, p_0: predict_oshea(c), (_limit("D/t <= 200", "D/t", hi=200.0),)),
+    MethodId.YU: (lambda c, s, p_0: predict_yu(c), (
+        _limit("235 <= fy <= 345 MPa", "f_y", 235.0, 345.0),
+        _limit("30 <= f_c' <= 60 MPa", "f_c", 30.0, 60.0),
+        _limit("0.2 <= xi <= 2", "xi", 0.2, 2.0),
+    )),
+    MethodId.LIU: (lambda c, s, p_0: predict_liu(c), ()),
+    MethodId.SUN: (lambda c, s, p_0: predict_sun(c), ()),
+    MethodId.ZHONG_MIAO: (lambda c, s, p_0: predict_zhong_miao(c, p_0), ()),
+    MethodId.GUO: (lambda c, s, p_0: predict_guo(c), (_limit("xi <= 1.7", "xi", hi=1.7),)),
+    MethodId.DE_OLIVEIRA: (
+        lambda c, s, p_0: predict_oliveira(c, s.oliveira_mode),
+        (_limit("1 <= L/D <= 10", "L/D", 1.0, 10.0),),
+    ),
+    MethodId.PROPOSED: (lambda c, s, p_0: predict_proposed(c), ()),
 }
 
 

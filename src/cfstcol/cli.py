@@ -390,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ArithmeticError as exc:  # finite inputs so large that a formula overflows
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

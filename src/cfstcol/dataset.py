@@ -213,7 +213,11 @@ def _evaluate_row(
     # column.defaulted already names the defaulted material fields; fc_kind
     # is the only parse-level default it cannot see
     defaulted = (("fc_kind",) if "fc_kind" in record.defaulted else ()) + column.defaulted
-    predictions = tuple(predict(column, m, settings) for m in methods)
+    try:
+        predictions = tuple(predict(column, m, settings) for m in methods)
+    except ArithmeticError as exc:  # finite inputs so large that a formula overflows
+        error = f"{type(exc).__name__}: {exc}"
+        return RowResult(index, record, None, None, record.defaulted, error, ())
     return RowResult(
         index, record, converted.f_c, converted.concrete_class.value,
         defaulted, None, predictions,

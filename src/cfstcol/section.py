@@ -297,6 +297,8 @@ class ColumnSpec:
         section = self.section
         A_s, A_c = section_areas(section)
         xi_c = confinement_factor(A_s, self.steel.f_y, A_c, self.concrete.f_c)
+        if not math.isfinite(A_s * A_c * xi_c):
+            _require_finite(A_s=A_s, A_c=A_c, xi_c=xi_c)
         for name, value in (("A_s", A_s), ("A_c", A_c), ("dt_ratio", section.D / section.t),
                             ("ld_ratio", section.L / section.D), ("alpha_s", A_s / A_c),
                             ("xi_c", xi_c)):

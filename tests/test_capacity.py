@@ -1,5 +1,6 @@
 import math
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,7 +30,7 @@ from cfstcol import (
     predict_zhong_miao,
     proposed_factors,
 )
-from cfstcol.capacity import NON_PHYSICAL_CONFINED_STRESS, NON_PHYSICAL_LENGTH_FACTOR
+from cfstcol.capacity import _METHODS, NON_PHYSICAL_CONFINED_STRESS, NON_PHYSICAL_LENGTH_FACTOR
 
 from conftest import build_column
 
@@ -417,6 +418,64 @@ class TestCrossCutting:
         pred = predict_yu(make_column(100, 5, 300, 600, 80))
         assert not pred.applicability.applicable
         assert pred.N_u > 0
+
+
+# Every fixed-float bound on f_y, f_c and L/D: (method, printed limit, quantity, bound, side).
+FIXED_BOUNDS = [
+    (MethodId.EC4, "f_c' >= 17.2 MPa", "f_c", 17.2, "lower"),
+    (MethodId.ACI, "f_c' >= 17.2 MPa", "f_c", 17.2, "lower"),
+    (MethodId.AISC, "fy <= 525 MPa", "f_y", 525.0, "upper"),
+    (MethodId.AISC, "21 <= f_c' <= 70 MPa", "f_c", 21.0, "lower"),
+    (MethodId.AISC, "21 <= f_c' <= 70 MPa", "f_c", 70.0, "upper"),
+    (MethodId.DBJ, "235 <= fy <= 420 MPa", "f_y", 235.0, "lower"),
+    (MethodId.DBJ, "235 <= fy <= 420 MPa", "f_y", 420.0, "upper"),
+    (MethodId.DBJ, "24 <= f_c' <= 70 MPa", "f_c", 24.0, "lower"),
+    (MethodId.DBJ, "24 <= f_c' <= 70 MPa", "f_c", 70.0, "upper"),
+    (MethodId.YU, "235 <= fy <= 345 MPa", "f_y", 235.0, "lower"),
+    (MethodId.YU, "235 <= fy <= 345 MPa", "f_y", 345.0, "upper"),
+    (MethodId.YU, "30 <= f_c' <= 60 MPa", "f_c", 30.0, "lower"),
+    (MethodId.YU, "30 <= f_c' <= 60 MPa", "f_c", 60.0, "upper"),
+    (MethodId.DE_OLIVEIRA, "1 <= L/D <= 10", "L/D", 1.0, "lower"),
+    (MethodId.DE_OLIVEIRA, "1 <= L/D <= 10", "L/D", 10.0, "upper"),
+]
+
+
+def _column_at(quantity, value):
+    """D/t = 32, L/D = 3, f_y = 300, f_c = 40 (inside every limit) with one quantity set.
+
+    D is a power of two, so L = value*D gives L/D == value exactly.
+    """
+    D, L, f_y, f_c = 128.0, 384.0, 300.0, 40.0
+    if quantity == "f_y":
+        f_y = value
+    elif quantity == "f_c":
+        f_c = value
+    else:
+        L = value * D
+    return build_column(D, 4.0, L, f_y, f_c)
+
+
+class TestInclusiveBounds:
+    @pytest.mark.parametrize("method,limit,quantity,bound,side", FIXED_BOUNDS)
+    def test_applicable_at_the_bound(self, method, limit, quantity, bound, side):
+        assert check_applicability(method, _column_at(quantity, bound)).applicable
+
+    @pytest.mark.parametrize("method,limit,quantity,bound,side", FIXED_BOUNDS)
+    def test_violated_one_step_outside(self, method, limit, quantity, bound, side):
+        outside = math.nextafter(bound, -math.inf if side == "lower" else math.inf)
+        report = check_applicability(method, _column_at(quantity, outside))
+        assert report.violations == ((limit, bound, outside),)
+
+
+def test_readme_limits_list_matches_the_method_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Applicability limits\n", 1)[1].split("\n## ", 1)[0]
+    listed = [line for line in section.splitlines() if line.startswith("- ")]
+    expected = []
+    for method in MethodId:
+        texts = ", ".join(f"`{text}`" for text, *_ in _METHODS[method][1])
+        expected.append(f"- `{method.value}`: {texts or 'none'}")
+    assert listed == expected
 
 
 class TestMethodId:

@@ -360,6 +360,50 @@ class TestNonFiniteInputs:
         assert all(s["n_total"] == 1 for s in summary["summaries"])
 
 
+class TestHugeFiniteInputs:
+    """Finite inputs large enough to overflow are usage or row errors, never a traceback."""
+
+    HUGE = ["--t", "1", "--L", "300", "--fy", "300", "--fc", "30"]
+
+    def test_predict_overflowing_second_moment_exits_2(self, capsys):
+        code, out, err = run(capsys, ["predict", "--D", "1e100", *self.HUGE])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "OverflowError" in err
+
+    @pytest.mark.parametrize("method", ["all", "aci"])
+    def test_predict_non_finite_areas_exit_2(self, capsys, method):
+        code, out, err = run(capsys, ["predict", "--D", "1e200", *self.HUGE, "--method", method])
+        assert code == 2
+        assert out == ""
+        assert "error: A_s must be finite" in err
+
+    def test_batch_writes_every_row_and_the_overflowing_one_carries_the_error(
+            self, capsys, tmp_path):
+        text = ",".join(CSV_HEADER) + "\n" + \
+            "first,100,5,300,300,450,200000,30,CYL150,20,650\n" + \
+            "huge,1e100,1,300,300,450,200000,30,CYL150,20,650\n" + \
+            "last,100,5,300,300,450,200000,30,CYL150,20,650\n"
+        source = tmp_path / "huge.csv"
+        source.write_text(text)
+        rows_out, summary_out = tmp_path / "rows.csv", tmp_path / "summary.json"
+        code, _, err = run(capsys, ["batch", "--input", str(source), "--method", "all",
+                                    "--out", str(rows_out), "--summary-out", str(summary_out)])
+        assert code == 0, err
+        lines = rows_out.read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert [r["source_id"] for r in rows] == ["first", "huge", "last"]
+        assert all(len(line.split(",")) == len(header) for line in lines)
+        assert rows[0]["error"] == rows[2]["error"] == ""
+        assert rows[1]["error"].startswith("OverflowError")
+        assert rows[1]["Nu_ec4_kN"] == "" and rows[2]["Nu_ec4_kN"] != ""
+        summary = _strict_json(summary_out.read_text())
+        assert summary["n_rows"] == 3
+        assert all(s["n_total"] == 3 for s in summary["summaries"])
+        assert next(s for s in summary["summaries"] if s["method"] == "aci")["n_applicable"] == 2
+
+
 class TestUsage:
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,13 @@
 """Single-column CLI outputs compared byte for byte with committed golden files.
 
 The files under ``golden/`` hold stdout followed by stderr of ``respond``,
-``cdpm`` and ``curve`` (steel and concrete) for the reference column R1 and
-for a high-strength cube-tested column with a 10 mm aggregate.  Any change
-to the curve arithmetic, the sampling grid or the number formatting shows up
+``cdpm``, ``curve`` (steel and concrete) and ``predict --format json`` for
+the reference column R1, a high-strength cube-tested column with a 10 mm
+aggregate, and two columns that between them break every applicability
+limit on every side it has: a thin, low-strength, squat tube and a thick,
+high-strength, slender one.  Any change to the curve arithmetic, the
+sampling grid, the number formatting or the applicability gating (its
+limit texts, bounds and actual values at full ``repr`` precision) shows up
 here as a byte difference.
 """
 
@@ -21,12 +25,15 @@ COLUMNS = {
     "r1": R1_ARGS,
     "hsc_cube": ["--D", "219", "--t", "3", "--L", "650", "--fy", "460", "--fc", "95",
                  "--fc-kind", "cube150", "--dmax", "10"],
+    "thin_squat": ["--D", "540", "--t", "2", "--L", "270", "--fy", "200", "--fc", "15"],
+    "thick_slender": ["--D", "200", "--t", "20", "--L", "2400", "--fy", "600", "--fc", "80"],
 }
 COMMANDS = {
     "respond": ["respond"],
     "cdpm": ["cdpm"],
     "curve_steel": ["curve", "--material", "steel"],
     "curve_concrete": ["curve", "--material", "concrete"],
+    "predict_json": ["predict", "--format", "json"],
 }
 
 

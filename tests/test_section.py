@@ -272,6 +272,20 @@ class TestNonFiniteRejected:
             build()
 
 
+class TestHugeFiniteColumn:
+    def test_non_finite_derived_areas_rejected(self):
+        # D*D overflows: A_s = inf - inf is NaN and A_c is infinite
+        with pytest.raises(ValueError, match="A_s must be finite"):
+            ColumnSpec(CircularSection(1e200, 1.0, 300.0), SteelMaterial(300.0),
+                       ConcreteMaterial(30.0))
+
+    def test_huge_finite_derived_values_accepted(self):
+        # the product of A_s, A_c and xi_c overflows, each of them does not
+        column = ColumnSpec(CircularSection(1e150, 1e149, 300.0), SteelMaterial(300.0),
+                            ConcreteMaterial(30.0))
+        assert math.isinf(column.A_s * column.A_c * column.xi_c)
+
+
 class TestColumnSpec:
     def test_derived_quantities(self, r1):
         assert r1.A_s == approx(1492.25651046, rel=1e-9)
