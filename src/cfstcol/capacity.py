@@ -123,10 +123,6 @@ class CapacityPrediction:
     intermediates: dict[str, float] = field(default_factory=dict)
     diagnostics: tuple[str, ...] = ()
 
-    @property
-    def N_u_kN(self) -> float:
-        return self.N_u / 1e3
-
 
 @dataclass(frozen=True, slots=True)
 class Ec4Coefficients:
@@ -545,37 +541,37 @@ _EC4_ACI_LIMITS = (
     _limit("f_c' >= 17.2 MPa", "f_c", lo=17.2),
 )
 
-# Per method: the predictor, called as (column, settings, p_0), and its
+# Per method: the predictor, called as (column, settings), and its
 # published limits in printed order.
 _METHODS: dict[MethodId, tuple[Callable[..., CapacityPrediction], tuple[_Limit, ...]]] = {
-    MethodId.EC4: (lambda c, s, p_0: predict_ec4(c, s), _EC4_ACI_LIMITS),
-    MethodId.AISC: (lambda c, s, p_0: predict_aisc(c, s), (
+    MethodId.EC4: (lambda c, s: predict_ec4(c, s), _EC4_ACI_LIMITS),
+    MethodId.AISC: (lambda c, s: predict_aisc(c, s), (
         _limit("D/t <= 0.15*Es/fy", "D/t", hi=lambda c: 0.15 * c.steel.E_s / c.steel.f_y),
         _limit("fy <= 525 MPa", "f_y", hi=525.0),
         _limit("21 <= f_c' <= 70 MPa", "f_c", 21.0, 70.0),
     )),
-    MethodId.CISC: (lambda c, s, p_0: predict_cisc(c, s), ()),
-    MethodId.DBJ: (lambda c, s, p_0: predict_dbj(c, s), (
+    MethodId.CISC: (lambda c, s: predict_cisc(c, s), ()),
+    MethodId.DBJ: (lambda c, s: predict_dbj(c, s), (
         _limit("D/t <= 150*235/fy", "D/t", hi=lambda c: 150.0 * 235.0 / c.steel.f_y),
         _limit("235 <= fy <= 420 MPa", "f_y", 235.0, 420.0),
         _limit("24 <= f_c' <= 70 MPa", "f_c", 24.0, 70.0),
     )),
-    MethodId.ACI: (lambda c, s, p_0: predict_aci(c), _EC4_ACI_LIMITS),
-    MethodId.OSHEA: (lambda c, s, p_0: predict_oshea(c), (_limit("D/t <= 200", "D/t", hi=200.0),)),
-    MethodId.YU: (lambda c, s, p_0: predict_yu(c), (
+    MethodId.ACI: (lambda c, s: predict_aci(c), _EC4_ACI_LIMITS),
+    MethodId.OSHEA: (lambda c, s: predict_oshea(c), (_limit("D/t <= 200", "D/t", hi=200.0),)),
+    MethodId.YU: (lambda c, s: predict_yu(c), (
         _limit("235 <= fy <= 345 MPa", "f_y", 235.0, 345.0),
         _limit("30 <= f_c' <= 60 MPa", "f_c", 30.0, 60.0),
         _limit("0.2 <= xi <= 2", "xi", 0.2, 2.0),
     )),
-    MethodId.LIU: (lambda c, s, p_0: predict_liu(c), ()),
-    MethodId.SUN: (lambda c, s, p_0: predict_sun(c), ()),
-    MethodId.ZHONG_MIAO: (lambda c, s, p_0: predict_zhong_miao(c, p_0), ()),
-    MethodId.GUO: (lambda c, s, p_0: predict_guo(c), (_limit("xi <= 1.7", "xi", hi=1.7),)),
+    MethodId.LIU: (lambda c, s: predict_liu(c), ()),
+    MethodId.SUN: (lambda c, s: predict_sun(c), ()),
+    MethodId.ZHONG_MIAO: (lambda c, s: predict_zhong_miao(c), ()),
+    MethodId.GUO: (lambda c, s: predict_guo(c), (_limit("xi <= 1.7", "xi", hi=1.7),)),
     MethodId.DE_OLIVEIRA: (
-        lambda c, s, p_0: predict_oliveira(c, s.oliveira_mode),
+        lambda c, s: predict_oliveira(c, s.oliveira_mode),
         (_limit("1 <= L/D <= 10", "L/D", 1.0, 10.0),),
     ),
-    MethodId.PROPOSED: (lambda c, s, p_0: predict_proposed(c), ()),
+    MethodId.PROPOSED: (lambda c, s: predict_proposed(c), ()),
 }
 
 
@@ -583,14 +579,13 @@ def predict(
     column: ColumnSpec,
     method: MethodId,
     settings: PredictionSettings = DEFAULT_SETTINGS,
-    p_0: float = 0.0,
 ) -> CapacityPrediction:
     """Run one predictor on a column under the given settings."""
     try:
         run = _METHODS[method][0]
     except (KeyError, TypeError):
         raise ValueError(f"unknown method: {method!r}") from None
-    return run(column, settings, p_0)
+    return run(column, settings)
 
 
 def predict_all(

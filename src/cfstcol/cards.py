@@ -6,6 +6,8 @@ from .materials import cdpm_parameters, sample_concrete_curve
 from .section import ColumnSpec
 
 CONCRETE_POISSON = 0.2  # tool default, not derived
+TABLE_POINTS = 50  # rows of the compression table
+TABLE_EPS_MAX = 0.03  # its last strain
 
 # Out-of-scope FE modelling constants, echoed for traceability only: the
 # card does not encode contact, imperfection or meshing.
@@ -16,7 +18,7 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def render_cdpm_card(column: ColumnSpec, n: int = 50, eps_max: float = 0.03) -> str:
+def render_cdpm_card(column: ColumnSpec) -> str:
     """Render the plasticity material card for a column.
 
     Sections: [ELASTIC] E_c and Poisson ratio; [CDPM] dilation angle,
@@ -25,7 +27,7 @@ def render_cdpm_card(column: ColumnSpec, n: int = 50, eps_max: float = 0.03) -> 
     fracture energy G_f (N/mm).
     """
     params = cdpm_parameters(column)
-    curve = sample_concrete_curve(column, n, eps_max)
+    curve = sample_concrete_curve(column, TABLE_POINTS, TABLE_EPS_MAX)
     s = column.section
     lines = [
         "# circular CFST material card (units: N, mm, MPa)",

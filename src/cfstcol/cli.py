@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 from .capacity import (
     CapacityPrediction,
@@ -44,24 +45,18 @@ from .section import (
 USAGE_ERROR = 2
 
 
-@dataclass(frozen=True, slots=True)
-class RunConfig:
+def _run_config(settings: PredictionSettings, Ec_override: float | None) -> dict:
     """One run's auditable configuration: formula settings and the concrete modulus override."""
-
-    settings: PredictionSettings
-    Ec_override: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "K_e": self.settings.K_e,
-            "K": self.settings.K,
-            "r_cc": self.settings.r_cc,
-            "oliveira_mode": self.settings.oliveira_mode.value,
-            "dbj_fck_factor": self.settings.dbj_fck_factor,
-            "Ec_override": self.Ec_override,
-            "ratio_orientation": RATIO_ORIENTATION,
-            "std_estimator": "sample (n-1)",
-        }
+    return {
+        "K_e": settings.K_e,
+        "K": settings.K,
+        "r_cc": settings.r_cc,
+        "oliveira_mode": settings.oliveira_mode.value,
+        "dbj_fck_factor": settings.dbj_fck_factor,
+        "Ec_override": Ec_override,
+        "ratio_orientation": RATIO_ORIENTATION,
+        "std_estimator": "sample (n-1)",
+    }
 
 
 def _add_column_args(parser: argparse.ArgumentParser) -> None:
@@ -80,6 +75,7 @@ def _add_column_args(parser: argparse.ArgumentParser) -> None:
         help="specimen shape of --fc (default cyl150)",
     )
     g.add_argument("--dmax", type=float, help="max aggregate size (mm); defaults to 20")
+    g.add_argument("--ec", type=float, help="concrete modulus override (MPa)")
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -93,13 +89,6 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
         default="as-printed",
         help="length factor above L/D=3: as published or continuous reading",
     )
-    g.add_argument("--ec", type=float, help="concrete modulus override (MPa)")
-
-
-def _add_output_args(parser: argparse.ArgumentParser) -> None:
-    g = parser.add_argument_group("output")
-    g.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    g.add_argument("--out", help="write to this file instead of stdout")
 
 
 def _settings(args: argparse.Namespace) -> PredictionSettings:
@@ -117,7 +106,7 @@ def _build_column(args: argparse.Namespace) -> tuple[ColumnSpec, ConvertedStreng
     column = ColumnSpec(
         CircularSection(args.D, args.t, args.L),
         SteelMaterial(args.fy, args.fu, args.Es),
-        ConcreteMaterial(converted.f_c, args.dmax, getattr(args, "ec", None)),
+        ConcreteMaterial(converted.f_c, args.dmax, args.ec),
     )
     return column, converted
 
@@ -144,6 +133,17 @@ def _output(out: str | None):
 def _write(text: str, out: str | None) -> None:
     with _output(out) as fh:
         fh.write(text)
+
+
+def _json(payload: dict) -> str:
+    """Strict JSON text: a non-finite float, at any depth, is written as null."""
+    def finite(value):
+        if isinstance(value, float):
+            return value if math.isfinite(value) else None
+        if isinstance(value, dict):
+            return {k: finite(v) for k, v in value.items()}
+        return [finite(v) for v in value] if isinstance(value, (list, tuple)) else value
+    return json.dumps(finite(payload), indent=2, allow_nan=False) + "\n"
 
 
 def _kN(newtons: float) -> float:
@@ -173,8 +173,8 @@ def _prediction_dicts(predictions: list[CapacityPrediction]) -> list[dict]:
 def _cmd_predict(args: argparse.Namespace) -> int:
     column, converted = _build_column(args)
     methods = _parse_methods(args.method)
-    predictions = predict_all(column, methods, _settings(args))
-    config = RunConfig(_settings(args), args.ec)
+    settings = _settings(args)
+    predictions = predict_all(column, methods, settings)
     if args.format == "json":
         payload = {
             "column": {
@@ -190,10 +190,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
                 "defaulted": list(column.defaulted),
                 "validity_flags": list(column.validity_flags),
             },
-            "config": config.as_dict(),
+            "config": _run_config(settings, args.ec),
             "predictions": _prediction_dicts(predictions),
         }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
+        _write(_json(payload), args.out)
         return 0
     lines = []
     if args.format == "csv":
@@ -309,23 +309,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             fh.write(",".join(cells) + "\n")
 
     summary = {
-        "config": RunConfig(settings, args.ec).as_dict(),
+        "config": _run_config(settings, args.ec),
         "methods": [m.value for m in methods],
         "n_rows": len(parsed.records),
         "row_errors": [{"line": e.line, "message": e.message} for e in parsed.errors],
-        "summaries": [
-            {
-                "method": s.method.value,
-                "n_applicable": s.n_applicable,
-                "n_total": s.n_total,
-                "mean": s.mean,
-                "std": s.std,
-                "cov": s.cov,
-            }
-            for s in stats.summaries()
-        ],
+        "summaries": [{**asdict(s), "method": s.method.value} for s in stats.summaries()],
     }
-    text = json.dumps(summary, indent=2) + "\n"
+    text = _json(summary)
     if args.summary_out:
         with open(args.summary_out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -344,14 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="ultimate loads by all thirteen methods")
     _add_column_args(p)
     _add_config_args(p)
-    _add_output_args(p)
+    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p.add_argument("--method", default="all", help="all or comma-separated method ids")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("curve", help="stress-strain curve CSV")
     _add_column_args(p)
-    _add_config_args(p)
-    _add_output_args(p)
     p.add_argument("--material", choices=["steel", "concrete"], required=True)
     p.add_argument("--n", type=int, default=200, help="number of samples (>= 2)")
     p.add_argument("--eps-max", type=float, help="last strain (default: steel eps_u / 0.03)")
@@ -359,25 +347,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cdpm", help="plasticity material card")
     _add_column_args(p)
-    _add_config_args(p)
-    _add_output_args(p)
     p.set_defaults(func=_cmd_cdpm)
 
     p = sub.add_parser("respond", help="fiber axial load-strain curve CSV")
     _add_column_args(p)
-    _add_config_args(p)
-    _add_output_args(p)
     p.add_argument("--n", type=int, default=200, help="number of samples (>= 8)")
     p.add_argument("--eps-max", type=float, default=0.03)
     p.set_defaults(func=_cmd_respond)
 
     p = sub.add_parser("batch", help="evaluate a specimen dataset CSV")
     _add_config_args(p)
-    _add_output_args(p)
+    p.add_argument("--ec", type=float, help="concrete modulus override (MPa)")
     p.add_argument("--input", required=True, help="dataset CSV path")
     p.add_argument("--method", default="all", help="all or comma-separated method ids")
     p.add_argument("--summary-out", help="write the JSON summary here (default: stderr)")
     p.set_defaults(func=_cmd_batch)
+
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write to this file instead of stdout")
 
     return parser
 

@@ -240,7 +240,19 @@ def _sample_std(ratios: list[float]) -> float:
     num, den = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)
     a = math.isqrt(num // den)
     a |= a * a * den != num
-    return float(a << q) if q >= 0 else a / (1 << -q)
+    # one rounding of a, then an exact power-of-two scale that overflows to inf, not an error
+    return float(a) * 2.0**q if q >= 0 else a / (1 << -q)
+
+
+def _mean(ratios: list[float]) -> float:
+    """``fsum(ratios)/n``, also where the exact sum lies beyond the float range."""
+    try:
+        return math.fsum(ratios) / len(ratios)
+    except OverflowError:  # scaling by a power of two keeps every bit of the mean
+        k = len(ratios).bit_length() + 1
+        return math.ldexp(_mean([math.ldexp(r, -k) for r in ratios]), k)
+    except ValueError:  # infinite ratios of both signs
+        return math.nan
 
 
 class RatioStats:
@@ -269,9 +281,9 @@ class RatioStats:
         for method, n_applicable, ratios in zip(self.methods, self.n_applicable, self.ratios):
             mean = std = cov = None
             if ratios:
-                mean = math.fsum(ratios) / len(ratios)
+                mean = _mean(ratios)
                 if len(ratios) >= 2:
-                    # a NaN or infinite N_test passes parsing and makes the mean non-finite
+                    # a ratio that overflows to infinity makes the mean non-finite
                     std = _sample_std(ratios) if math.isfinite(mean) else math.nan
                     cov = std / mean if mean > 0 else None
             out.append(StatsSummary(method, n_applicable, self.n_total, mean, std, cov))

@@ -1,10 +1,12 @@
+import argparse
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from cfstcol import MethodId, evaluate_dataset, parse_dataset, predict
-from cfstcol.cli import main
+from cfstcol.cli import build_parser, main
 from cfstcol.dataset import CSV_HEADER
 
 from conftest import build_column
@@ -404,7 +406,102 @@ class TestHugeFiniteInputs:
         assert next(s for s in summary["summaries"] if s["method"] == "aci")["n_applicable"] == 2
 
 
+def _batch_summary(capsys, tmp_path, rows, method):
+    """Run ``cfstcol batch`` on dataset rows, assert it succeeds and return the summary text."""
+    source = tmp_path / "rows.csv"
+    source.write_text(",".join(CSV_HEADER) + "\n" + "".join(f"{r}\n" for r in rows))
+    summary_out = tmp_path / "summary.json"
+    code, _, err = run(capsys, ["batch", "--input", str(source), "--method", method,
+                                "--out", str(tmp_path / "out.csv"),
+                                "--summary-out", str(summary_out)])
+    assert code == 0, err
+    return summary_out.read_text()
+
+
+# N_test near the float maximum over a tiny column: each N_test/N_u ratio is huge
+TINY_ROW = "a,3,0.4,9,200,,,20,,,1.7e308"  # ACI N_u 0.7 kN: the ratio overflows to inf
+SMALL_ROW = "a,4,0.5,12,200,,,20,,,1.7e308"  # ACI N_u 1.2 kN: a finite ratio near 1.4e308
+# de_oliveira as printed is negative above L/D = 3: ratios of -inf and about -1.5e308
+NEGATIVE_INF_ROW = "b,4,0.5,36,200,,,20,,,1.7e308"
+NEGATIVE_ROW = "b,6,0.75,54,200,,,20,,,1.7e308"
+
+
+class TestStrictJson:
+    """Every JSON document cfstcol writes parses without NaN or Infinity tokens."""
+
+    def test_predict_writes_a_non_finite_load_as_null(self, capsys):
+        code, out, err = run(capsys, ["predict", "--D", "100", "--t", "40", "--L", "300",
+                                      "--fy", "120", "--fc", "100", "--method", "oshea",
+                                      "--format", "json"])
+        assert code == 0, err
+        (pred,) = _strict_json(out)["predictions"]
+        assert pred["Nu_kN"] is None
+        assert pred["intermediates"]["sigma_cp"] is None
+        assert pred["diagnostics"]
+
+    def test_batch_writes_an_infinite_mean_as_null(self, capsys, tmp_path):
+        summary = _strict_json(_batch_summary(capsys, tmp_path, [TINY_ROW], "aci"))
+        assert summary["summaries"][0]["mean"] is None
+
+
+class TestSummaryBeyondFloatRange:
+    """Rows that parse never abort the summary, however large their ratios."""
+
+    def test_mean_whose_sum_overflows_equals_the_one_row_mean(self, capsys, tmp_path):
+        one = _strict_json(_batch_summary(capsys, tmp_path, [SMALL_ROW], "aci"))["summaries"][0]
+        two = _strict_json(_batch_summary(capsys, tmp_path, [SMALL_ROW] * 2, "aci"))["summaries"][0]
+        assert one["mean"] > 1e308
+        assert two["mean"] == one["mean"]
+        assert two["std"] == 0.0 and two["cov"] == 0.0
+
+    def test_infinite_ratios_of_both_signs_give_a_null_mean(self, capsys, tmp_path):
+        text = _batch_summary(capsys, tmp_path, [TINY_ROW, NEGATIVE_INF_ROW], "de_oliveira")
+        s = _strict_json(text)["summaries"][0]
+        assert (s["n_applicable"], s["mean"], s["std"], s["cov"]) == (2, None, None, None)
+
+    def test_std_beyond_the_float_range_is_null(self, capsys, tmp_path):
+        text = _batch_summary(capsys, tmp_path, [SMALL_ROW, NEGATIVE_ROW], "de_oliveira")
+        s = _strict_json(text)["summaries"][0]
+        assert math.isfinite(s["mean"]) and s["std"] is None
+
+
+# flags that these subcommands would not read: each is a usage error
+REMOVED_FLAGS = [pytest.param(command, flag, value, id=f"{command[0]} {flag}")
+                 for command in (["curve", "--material", "steel"], ["cdpm"], ["respond"])
+                 for flag, value in (("--ke", "0.9"), ("--keff", "2"), ("--rcc", "3"),
+                                     ("--oliveira-mode", "corrected"), ("--format", "json"))]
+REMOVED_FLAGS.append(pytest.param(["batch", "--input", "specimens.csv"], "--format", "json",
+                                  id="batch --format"))
+
+
 class TestUsage:
+    @pytest.mark.parametrize("command,flag,value", REMOVED_FLAGS)
+    def test_flag_the_subcommand_does_not_read_exits_2(self, capsys, command, flag, value):
+        column = R1_ARGS if command[0] != "batch" else []
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *column, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["curve", "--material", "concrete"], ["cdpm"], ["respond"]])
+    def test_ec_override_changes_single_column_output(self, capsys, command):
+        _, plain, _ = run(capsys, [*command, *R1_ARGS])
+        code, stiff, err = run(capsys, [*command, *R1_ARGS, "--ec", "60000"])
+        assert code == 0, err
+        assert stiff != plain
+
+    def test_readme_flag_list_matches_the_parser(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n### Flags\n", 1)[1].split("\n#", 1)[0]
+        listed = [line for line in section.splitlines() if line.startswith("- ")]
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        expected = []
+        for name, sub in subparsers.choices.items():
+            flags = [a.option_strings[-1] for a in sub._actions if a.option_strings[-1] != "--help"]
+            expected.append(f"- `{name}`: " + ", ".join(f"`{flag}`" for flag in flags))
+        assert listed == expected
+
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
