@@ -1,11 +1,15 @@
 """Single-column CLI outputs compared byte for byte with committed golden files.
 
 The files under ``golden/`` hold stdout followed by stderr of ``respond``,
-``cdpm``, ``curve`` (steel and concrete) and ``predict --format json`` for
-the reference column R1, a high-strength cube-tested column with a 10 mm
+``cdpm``, ``curve`` (steel and concrete) and ``predict`` (table, json and
+csv) for the reference column R1, a high-strength cube-tested column with a 10 mm
 aggregate, and two columns that between them break every applicability
 limit on every side it has: a thin, low-strength, squat tube and a thick,
-high-strength, slender one.  Any change to the curve arithmetic, the
+high-strength, slender one.  ``batch_input.csv`` is a hand-written dataset
+covering every ``fc_kind`` spelling, empty optional cells, a strength that
+cannot be converted, each kind of row error and rows that fire every
+diagnostic; ``batch --method all`` on it must reproduce ``batch_all_rows.csv``
+and ``batch_all_summary.json``.  Any change to the curve arithmetic, the
 sampling grid, the number formatting or the applicability gating (its
 limit texts, bounds and actual values at full ``repr`` precision) shows up
 here as a byte difference.
@@ -33,7 +37,9 @@ COMMANDS = {
     "cdpm": ["cdpm"],
     "curve_steel": ["curve", "--material", "steel"],
     "curve_concrete": ["curve", "--material", "concrete"],
+    "predict_table": ["predict"],
     "predict_json": ["predict", "--format", "json"],
+    "predict_csv": ["predict", "--format", "csv"],
 }
 
 
@@ -44,3 +50,13 @@ def test_output_matches_golden_file(capsys, column, command):
     captured = capsys.readouterr()
     expected = (GOLDEN / f"{column}_{command}.txt").read_text(encoding="utf-8")
     assert captured.out + captured.err == expected
+
+
+def test_batch_matches_golden_files(capsys, tmp_path):
+    rows, summary = tmp_path / "rows.csv", tmp_path / "summary.json"
+    argv = ["batch", "--method", "all", "--input", str(GOLDEN / "batch_input.csv"),
+            "--out", str(rows), "--summary-out", str(summary)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert rows.read_bytes() == (GOLDEN / "batch_all_rows.csv").read_bytes()
+    assert summary.read_bytes() == (GOLDEN / "batch_all_summary.json").read_bytes()
