@@ -15,7 +15,7 @@ silently clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -113,19 +113,17 @@ class ApplicabilityReport:
 _APPLICABLE = ApplicabilityReport(True, ())
 
 
-@dataclass(frozen=True, slots=True)
-class CapacityPrediction:
+class CapacityPrediction(NamedTuple):
     """Predicted ultimate load (N) with gating, intermediates and diagnostics."""
 
     method: MethodId
     N_u: float
     applicability: ApplicabilityReport
-    intermediates: dict[str, float] = field(default_factory=dict)
+    intermediates: dict[str, float]
     diagnostics: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Ec4Coefficients:
+class Ec4Coefficients(NamedTuple):
     """EC4 intermediate quantities: relative slenderness and the clamped coefficients."""
 
     lambda_bar: float
@@ -135,8 +133,7 @@ class Ec4Coefficients:
     N_cr: float
 
 
-@dataclass(frozen=True, slots=True)
-class ProposedFactors:
+class ProposedFactors(NamedTuple):
     """Concrete intensification and steel diminution factors of the superposition formula."""
 
     eta_c: float
@@ -176,6 +173,8 @@ def check_applicability(method: MethodId, column: ColumnSpec) -> ApplicabilityRe
         limits = _METHODS[method][1]
     except (KeyError, TypeError):
         raise ValueError(f"unknown method: {method!r}") from None
+    if not limits:
+        return _APPLICABLE
     violations = []
     for text, quantity, lo, hi in limits:
         value = quantity(column)
@@ -197,7 +196,7 @@ def check_applicability(method: MethodId, column: ColumnSpec) -> ApplicabilityRe
 def predict_aci(column: ColumnSpec) -> CapacityPrediction:
     """ACI squash load N = A_s*f_y + 0.85*A_c*f_c."""
     N = column.A_s * column.steel.f_y + 0.85 * column.A_c * column.concrete.f_c
-    return CapacityPrediction(MethodId.ACI, N, check_applicability(MethodId.ACI, column))
+    return CapacityPrediction(MethodId.ACI, N, check_applicability(MethodId.ACI, column), {})
 
 
 def ec4_coefficients(
@@ -224,14 +223,9 @@ def predict_ec4(
     N = c.eta_a * column.A_s * f_y + column.A_c * f_c * (
         1.0 + c.eta_c_ec4 * (t * f_y) / (D * f_c)
     )
-    inter = {
-        "lambda_bar": c.lambda_bar,
-        "eta_a": c.eta_a,
-        "eta_c_ec4": c.eta_c_ec4,
-        "N_pl_Rk": c.N_pl_Rk,
-        "N_cr": c.N_cr,
-    }
-    return CapacityPrediction(MethodId.EC4, N, check_applicability(MethodId.EC4, column), inter)
+    return CapacityPrediction(
+        MethodId.EC4, N, check_applicability(MethodId.EC4, column), c._asdict()
+    )
 
 
 def predict_aisc(
@@ -522,12 +516,11 @@ def predict_proposed(column: ColumnSpec) -> CapacityPrediction:
         factors.eta_c * column.A_c * column.concrete.f_c
         + factors.eta_s * column.A_s * column.steel.f_y
     )
-    inter = {"eta_c": factors.eta_c, "eta_s": factors.eta_s}
     return CapacityPrediction(
         MethodId.PROPOSED,
         N,
         check_applicability(MethodId.PROPOSED, column),
-        inter,
+        factors._asdict(),
         tuple(_envelope_flags(column)),
     )
 

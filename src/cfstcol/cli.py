@@ -118,10 +118,13 @@ def _parse_methods(spec: str) -> tuple[MethodId, ...]:
     for token in spec.split(","):
         token = token.strip().lower()
         try:
-            methods.append(MethodId(token))
+            method = MethodId(token)
         except ValueError:
             known = ", ".join(m.value for m in MethodId)
             raise ValueError(f"unknown method {token!r} (known: all, {known})") from None
+        if method in methods:
+            raise ValueError(f"method {token!r} given more than once")
+        methods.append(method)
     return tuple(methods)
 
 
@@ -301,8 +304,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             ]
             diagnostics = []
             for pred in row.predictions:
-                cells += [f"{_kN(pred.N_u):.1f}", str(pred.applicability.applicable).lower()]
-                diagnostics.extend(f"{pred.method.value}: {d}" for d in pred.diagnostics)
+                # N_u / 1e3 at .1f is the _kN value at .1f, without the round() call
+                cells += [f"{pred.N_u / 1e3:.1f}", "true" if pred.applicability.applicable else "false"]
+                if pred.diagnostics:
+                    diagnostics += [f"{pred.method.value}: {d}" for d in pred.diagnostics]
             if not row.predictions:
                 cells += ["", ""] * len(methods)
             cells.append(("; ".join(diagnostics)).replace(",", ";"))

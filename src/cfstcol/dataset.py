@@ -56,8 +56,7 @@ CSV_HEADER = (
 RATIO_ORIENTATION = "N_test/N_u"
 
 
-@dataclass(frozen=True, slots=True)
-class SpecimenRecord:
+class SpecimenRecord(NamedTuple):
     """One test specimen row; optional fields are None until defaulted at evaluation."""
 
     source_id: str
@@ -174,8 +173,7 @@ def column_from_record(
     return column, converted
 
 
-@dataclass(frozen=True, slots=True)
-class RowResult:
+class RowResult(NamedTuple):
     """Evaluation outcome for one record: the converted strength and per-method predictions."""
 
     index: int
@@ -214,7 +212,7 @@ def _evaluate_row(
     # is the only parse-level default it cannot see
     defaulted = (("fc_kind",) if "fc_kind" in record.defaulted else ()) + column.defaulted
     try:
-        predictions = tuple(predict(column, m, settings) for m in methods)
+        predictions = tuple([predict(column, m, settings) for m in methods])
     except ArithmeticError as exc:  # finite inputs so large that a formula overflows
         error = f"{type(exc).__name__}: {exc}"
         return RowResult(index, record, None, None, record.defaulted, error, ())

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 STEEL_E_DEFAULT = 200_000.0  # MPa, used when a specimen record omits E_s
 DMAX_DEFAULT = 20.0  # mm, conventional coarse-aggregate size
@@ -102,8 +103,7 @@ class MeasuredStrength:
             _require_finite(measured_strength=self.value)
 
 
-@dataclass(frozen=True, slots=True)
-class ConvertedStrength:
+class ConvertedStrength(NamedTuple):
     """Strength on the 150x300-cylinder basis plus the class used to convert it."""
 
     f_c: float

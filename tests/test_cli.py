@@ -4,9 +4,10 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cfstcol import MethodId, evaluate_dataset, parse_dataset, predict
-from cfstcol.cli import build_parser, main
+from cfstcol.cli import _kN, build_parser, main
 from cfstcol.dataset import CSV_HEADER
 
 from conftest import build_column
@@ -80,6 +81,13 @@ class TestPredict:
         assert code == 2
         assert "unknown method" in err
 
+    @pytest.mark.parametrize("spec", ["aci,ACI", "ec4,aci, ec4"])
+    def test_duplicate_method_exits_2(self, capsys, spec):
+        code, out, err = run(capsys, ["predict", *R1_ARGS, "--method", spec])
+        assert code == 2
+        assert out == ""
+        assert "given more than once" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "pred.json"
         code, out, _ = run(capsys, ["predict", *R1_ARGS, "--format", "json", "--out", str(target)])
@@ -149,6 +157,22 @@ class TestRespond:
     def test_zero_eps_max_exits_2(self, capsys):
         code, _, _ = run(capsys, ["respond", *R1_ARGS, "--eps-max", "0"])
         assert code == 2
+
+
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(5e-324)
+@example(-2.225073858507201e-308)
+@example(1.7976931348623157e308)
+@example(-50.0)
+@example(150.0)
+def test_batch_load_cell_matches_the_rounded_kn_value(newtons):
+    # the batch row loop writes N_u / 1e3 at .1f instead of _kN(N_u) at .1f
+    assert f"{newtons / 1e3:.1f}" == f"{_kN(newtons):.1f}"
 
 
 def batch_fixture_text():
@@ -236,6 +260,16 @@ class TestBatch:
             assert code == 0, err
             outputs.append((rows_out.read_bytes(), summary_out.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_duplicate_method_exits_2_before_writing(self, capsys, tmp_path):
+        source = tmp_path / "specimens.csv"
+        source.write_text(batch_fixture_text())
+        rows_out, summary_out = tmp_path / "rows.csv", tmp_path / "summary.json"
+        code, _, err = run(capsys, ["batch", "--input", str(source), "--method", "aci,ACI",
+                                    "--out", str(rows_out), "--summary-out", str(summary_out)])
+        assert code == 2
+        assert "given more than once" in err
+        assert not rows_out.exists() and not summary_out.exists()
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, ["batch", "--input", str(tmp_path / "absent.csv")])

@@ -9,10 +9,12 @@ from cfstcol import (
     SpecimenKind,
     SpecimenRecord,
     column_from_record,
+    ec4_coefficients,
     evaluate_dataset,
     parse_dataset,
     predict,
     predict_all,
+    proposed_factors,
 )
 from cfstcol.dataset import CSV_HEADER, _sample_std
 
@@ -188,6 +190,17 @@ class TestEvaluate:
         assert pickle.loads(pickle.dumps(predictions)) == predictions
         rows, _ = evaluate_dataset([record(), record(fc=150.0, kind=SpecimenKind.CUBE100)])
         assert pickle.loads(pickle.dumps(rows)) == rows
+
+    def test_plain_records_reject_attribute_assignment(self):
+        column, converted = column_from_record(record())
+        rows, _ = evaluate_dataset([record()], (MethodId.ACI,))
+        values = [record(), rows[0], converted, predict(column, MethodId.ACI),
+                  ec4_coefficients(column), proposed_factors(column)]
+        for value in values:
+            with pytest.raises(AttributeError):
+                setattr(value, type(value)._fields[0], None)
+            with pytest.raises(AttributeError):
+                value.extra = None
 
     def test_rows_keep_predictions_when_inapplicable(self):
         rows, _ = evaluate_dataset([record(fc=15.0)], (MethodId.EC4,))
