@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .section import (
     ColumnSpec,
@@ -581,12 +581,24 @@ def predict(
     return run(column, settings)
 
 
+def check_distinct(methods: Sequence[MethodId]) -> None:
+    """Reject a method listed twice, which would be predicted and summarised twice."""
+    for i, method in enumerate(methods):
+        if method in methods[:i]:
+            raise ValueError(f"method {getattr(method, 'value', method)!r} given more than once")
+
+
 def predict_all(
     column: ColumnSpec,
     methods: tuple[MethodId, ...] | None = None,
     settings: PredictionSettings = DEFAULT_SETTINGS,
 ) -> list[CapacityPrediction]:
-    """Run the requested predictors (all thirteen by default) in declaration order."""
+    """Run the requested predictors (all thirteen by default) in the order given.
+
+    Raises ValueError when a method is listed twice.
+    """
     if methods is None:
         methods = tuple(MethodId)
+    else:
+        check_distinct(methods)
     return [predict(column, m, settings) for m in methods]

@@ -20,6 +20,7 @@ from .capacity import (
     MethodId,
     OliveiraMode,
     PredictionSettings,
+    check_distinct,
     predict_all,
 )
 from .cards import render_cdpm_card
@@ -118,13 +119,11 @@ def _parse_methods(spec: str) -> tuple[MethodId, ...]:
     for token in spec.split(","):
         token = token.strip().lower()
         try:
-            method = MethodId(token)
+            methods.append(MethodId(token))
         except ValueError:
             known = ", ".join(m.value for m in MethodId)
             raise ValueError(f"unknown method {token!r} (known: all, {known})") from None
-        if method in methods:
-            raise ValueError(f"method {token!r} given more than once")
-        methods.append(method)
+    check_distinct(methods)
     return tuple(methods)
 
 
@@ -268,14 +267,15 @@ def _cmd_respond(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    # usage errors first, so that a bad flag costs no read or parse of the input
+    methods = _parse_methods(args.method)
+    settings = _settings(args)
     try:
         with open(args.input, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {args.input}: {exc}") from None
     parsed = parse_dataset(text)
-    methods = _parse_methods(args.method)
-    settings = _settings(args)
 
     header = ["index", "source_id", "D_mm", "t_mm", "L_mm", "fy_MPa", "fu_MPa", "Es_MPa",
               "fc_measured_MPa", "fc_kind", "dmax_mm", "Ntest_kN", "fc_MPa",

@@ -25,6 +25,7 @@ from .capacity import (
     CapacityPrediction,
     MethodId,
     PredictionSettings,
+    check_distinct,
     predict,
 )
 from .section import (
@@ -36,6 +37,9 @@ from .section import (
     MeasuredStrength,
     SpecimenKind,
     SteelMaterial,
+    check_measured_strength,
+    check_section,
+    check_steel,
     convert_strength,
 )
 
@@ -84,6 +88,9 @@ class ParsedDataset:
     errors: tuple[RowError, ...]
 
 
+_SPECIMEN_KINDS = {kind.value: kind for kind in SpecimenKind}
+
+
 def _parse_float(cell: str, name: str) -> float:
     try:
         return float(cell)
@@ -94,33 +101,44 @@ def _parse_float(cell: str, name: str) -> float:
 def _parse_row(line: int, cells: list[str]) -> SpecimenRecord:
     if len(cells) != len(CSV_HEADER):
         raise ValueError(f"expected {len(CSV_HEADER)} columns, got {len(cells)}")
-    raw = {name: cell.strip() for name, cell in zip(CSV_HEADER, cells)}
-    defaulted = [name for name in ("fu_MPa", "Es_MPa", "fc_kind", "dmax_mm") if not raw[name]]
-    for name in ("D_mm", "t_mm", "L_mm", "fy_MPa", "fc_measured_MPa", "Ntest_kN"):
-        if not raw[name]:
-            raise ValueError(f"{name}: required value is empty")
-    D = _parse_float(raw["D_mm"], "D_mm")
-    t = _parse_float(raw["t_mm"], "t_mm")
-    L = _parse_float(raw["L_mm"], "L_mm")
-    f_y = _parse_float(raw["fy_MPa"], "fy_MPa")
-    f_u = _parse_float(raw["fu_MPa"], "fu_MPa") if raw["fu_MPa"] else None
-    E_s = _parse_float(raw["Es_MPa"], "Es_MPa") if raw["Es_MPa"] else None
-    fc_measured = _parse_float(raw["fc_measured_MPa"], "fc_measured_MPa")
-    if raw["fc_kind"]:
-        try:
-            fc_kind = SpecimenKind(raw["fc_kind"].upper())
-        except ValueError:
-            raise ValueError(f"fc_kind: unknown specimen kind {raw['fc_kind']!r}") from None
+    # one local per CSV_HEADER column, named after it
+    (source_id, D_mm, t_mm, L_mm, fy_MPa, fu_MPa, Es_MPa, fc_measured_MPa, fc_kind, dmax_mm,
+     Ntest_kN) = [cell.strip() for cell in cells]
+    defaulted = []
+    if not fu_MPa:
+        defaulted.append("fu_MPa")
+    if not Es_MPa:
+        defaulted.append("Es_MPa")
+    if not fc_kind:
+        defaulted.append("fc_kind")
+    if not dmax_mm:
+        defaulted.append("dmax_mm")
+    if not (D_mm and t_mm and L_mm and fy_MPa and fc_measured_MPa and Ntest_kN):
+        for name, cell in (("D_mm", D_mm), ("t_mm", t_mm), ("L_mm", L_mm), ("fy_MPa", fy_MPa),
+                           ("fc_measured_MPa", fc_measured_MPa), ("Ntest_kN", Ntest_kN)):
+            if not cell:
+                raise ValueError(f"{name}: required value is empty")
+    D = _parse_float(D_mm, "D_mm")
+    t = _parse_float(t_mm, "t_mm")
+    L = _parse_float(L_mm, "L_mm")
+    f_y = _parse_float(fy_MPa, "fy_MPa")
+    f_u = _parse_float(fu_MPa, "fu_MPa") if fu_MPa else None
+    E_s = _parse_float(Es_MPa, "Es_MPa") if Es_MPa else None
+    fc_measured = _parse_float(fc_measured_MPa, "fc_measured_MPa")
+    if fc_kind:
+        kind = _SPECIMEN_KINDS.get(fc_kind.upper())
+        if kind is None:
+            raise ValueError(f"fc_kind: unknown specimen kind {fc_kind!r}")
     else:
-        fc_kind = SpecimenKind.CYL150
-    d_max = _parse_float(raw["dmax_mm"], "dmax_mm") if raw["dmax_mm"] else None
-    N_test = _parse_float(raw["Ntest_kN"], "Ntest_kN")
+        kind = SpecimenKind.CYL150
+    d_max = _parse_float(dmax_mm, "dmax_mm") if dmax_mm else None
+    N_test = _parse_float(Ntest_kN, "Ntest_kN")
     if N_test <= 0:
         raise ValueError("Ntest_kN: must be positive")
-    # validate geometry/material invariants eagerly so bad rows surface here
-    CircularSection(D, t, L)
-    SteelMaterial(f_y, f_u, E_s)
-    MeasuredStrength(fc_measured, fc_kind)
+    # the checks of the value types column_from_record builds, so bad rows surface here
+    check_section(D, t, L)
+    check_steel(f_y, f_u, E_s)
+    check_measured_strength(fc_measured)
     if d_max is not None and d_max < 0:
         raise ValueError("dmax_mm: must be non-negative")
     if not math.isfinite(N_test):
@@ -128,8 +146,7 @@ def _parse_row(line: int, cells: list[str]) -> SpecimenRecord:
     if d_max is not None and not math.isfinite(d_max):
         raise ValueError("dmax_mm: must be finite")
     return SpecimenRecord(
-        raw["source_id"], D, t, L, f_y, f_u, E_s, fc_measured, fc_kind, d_max,
-        N_test, tuple(defaulted),
+        source_id, D, t, L, f_y, f_u, E_s, fc_measured, kind, d_max, N_test, tuple(defaulted),
     )
 
 
@@ -148,7 +165,7 @@ def parse_dataset(csv_text: str) -> ParsedDataset:
     records: list[SpecimenRecord] = []
     errors: list[RowError] = []
     for line, cells in enumerate(reader, start=2):
-        if not cells or all(not c.strip() for c in cells):
+        if not "".join(cells).strip():  # a blank line, or one of blank cells only
             continue
         try:
             records.append(_parse_row(line, cells))
@@ -309,10 +326,13 @@ def evaluate_dataset(
     excluded from a method's statistics but still carry their predictions;
     rows whose evaluation errors (e.g. an impossible strength conversion)
     count only towards n_total.  ``Ec_override`` replaces the derived
-    concrete modulus on every row (sensitivity runs).
+    concrete modulus on every row (sensitivity runs).  A method listed
+    twice raises ValueError.
     """
     if methods is None:
         methods = tuple(MethodId)
+    else:
+        check_distinct(methods)
     rows = list(evaluate_rows(records, methods, settings, Ec_override))
     stats = RatioStats(methods)
     for row in rows:

@@ -47,11 +47,16 @@ class SpecimenKind(Enum):
     CUBE150 = "CUBE150"
     CUBE100 = "CUBE100"
 
+    # singletons compared by identity: the C-level hash agrees with == and is cheap
+    __hash__ = object.__hash__
+
 
 class ConcreteClass(Enum):
     NSC = "NSC"
     HSC = "HSC"
     UHSC = "UHSC"
+
+    __hash__ = object.__hash__
 
 
 def classify_concrete(f_c: float) -> ConcreteClass:
@@ -89,6 +94,14 @@ _CONVERSION_FACTORS: dict[ConcreteClass, dict[SpecimenKind, float | None]] = {
 }
 
 
+def check_measured_strength(value: float) -> None:
+    """Raise ValueError unless ``value`` is a valid ``MeasuredStrength.value``."""
+    if value <= 0:
+        raise ValueError("measured strength must be positive")
+    if not math.isfinite(value):
+        _require_finite(measured_strength=value)
+
+
 @dataclass(frozen=True, slots=True)
 class MeasuredStrength:
     """A raw compressive strength (MPa) together with the specimen shape it came from."""
@@ -97,10 +110,7 @@ class MeasuredStrength:
     kind: SpecimenKind
 
     def __post_init__(self) -> None:
-        if self.value <= 0:
-            raise ValueError("measured strength must be positive")
-        if not math.isfinite(self.value):
-            _require_finite(measured_strength=self.value)
+        check_measured_strength(self.value)
 
 
 class ConvertedStrength(NamedTuple):
@@ -151,6 +161,16 @@ def concrete_elastic_modulus(f_c: float, override: float | None = None) -> float
     return 4700.0 * math.sqrt(f_c)
 
 
+def check_section(D: float, t: float, L: float) -> None:
+    """Raise SectionError or ValueError unless D, t, L make a valid ``CircularSection``."""
+    if D <= 0 or t <= 0 or L <= 0:
+        raise SectionError("D, t and L must all be positive")
+    if D <= 2.0 * t:
+        raise SectionError(f"D={D:g} mm and t={t:g} mm leave no concrete core (need D > 2t)")
+    if not math.isfinite(D * t * L):
+        _require_finite(D=D, t=t, L=L)
+
+
 @dataclass(frozen=True, slots=True)
 class CircularSection:
     """Circular tube geometry in mm: outer diameter D, wall thickness t, length L."""
@@ -160,14 +180,7 @@ class CircularSection:
     L: float
 
     def __post_init__(self) -> None:
-        if self.D <= 0 or self.t <= 0 or self.L <= 0:
-            raise SectionError("D, t and L must all be positive")
-        if self.D <= 2.0 * self.t:
-            raise SectionError(
-                f"D={self.D:g} mm and t={self.t:g} mm leave no concrete core (need D > 2t)"
-            )
-        if not math.isfinite(self.D * self.t * self.L):
-            _require_finite(D=self.D, t=self.t, L=self.L)
+        check_section(self.D, self.t, self.L)
 
 
 def section_areas(section: CircularSection) -> tuple[float, float]:
@@ -195,6 +208,23 @@ def confinement_factor(A_s: float, f_y: float, A_c: float, f_c: float) -> float:
     return (A_s * f_y) / (A_c * f_c)
 
 
+def check_steel(f_y: float, f_u: float | None, E_s: float | None) -> tuple[float, float]:
+    """Raise ValueError unless the inputs make a valid ``SteelMaterial``; returns its f_u, E_s."""
+    if f_u is None:
+        f_u = max(1.25 * f_y, f_y + 50.0)
+    if E_s is None:
+        E_s = STEEL_E_DEFAULT
+    if f_y <= 0:
+        raise ValueError("f_y must be positive")
+    if E_s <= 0:
+        raise ValueError("E_s must be positive")
+    if f_u < f_y:
+        raise ValueError(f"f_u={f_u:g} MPa below f_y={f_y:g} MPa")
+    if not math.isfinite(f_y * f_u * E_s):
+        _require_finite(f_y=f_y, f_u=f_u, E_s=E_s)
+    return f_u, E_s
+
+
 @dataclass(frozen=True, slots=True)
 class SteelMaterial:
     """Steel tube properties (MPa).
@@ -210,22 +240,16 @@ class SteelMaterial:
     defaulted: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        f_u, E_s = check_steel(self.f_y, self.f_u, self.E_s)
         defaulted: list[str] = []
         if self.f_u is None:
-            object.__setattr__(self, "f_u", max(1.25 * self.f_y, self.f_y + 50.0))
             defaulted.append("f_u")
         if self.E_s is None:
-            object.__setattr__(self, "E_s", STEEL_E_DEFAULT)
             defaulted.append("E_s")
-        object.__setattr__(self, "defaulted", tuple(defaulted))
-        if self.f_y <= 0:
-            raise ValueError("f_y must be positive")
-        if self.E_s <= 0:
-            raise ValueError("E_s must be positive")
-        if self.f_u < self.f_y:
-            raise ValueError(f"f_u={self.f_u:g} MPa below f_y={self.f_y:g} MPa")
-        if not math.isfinite(self.f_y * self.f_u * self.E_s):
-            _require_finite(f_y=self.f_y, f_u=self.f_u, E_s=self.E_s)
+        set_field = object.__setattr__
+        set_field(self, "f_u", f_u)
+        set_field(self, "E_s", E_s)
+        set_field(self, "defaulted", tuple(defaulted))
 
     @property
     def validity_flags(self) -> tuple[str, ...]:
@@ -299,10 +323,13 @@ class ColumnSpec:
         xi_c = confinement_factor(A_s, self.steel.f_y, A_c, self.concrete.f_c)
         if not math.isfinite(A_s * A_c * xi_c):
             _require_finite(A_s=A_s, A_c=A_c, xi_c=xi_c)
-        for name, value in (("A_s", A_s), ("A_c", A_c), ("dt_ratio", section.D / section.t),
-                            ("ld_ratio", section.L / section.D), ("alpha_s", A_s / A_c),
-                            ("xi_c", xi_c)):
-            object.__setattr__(self, name, value)
+        set_field = object.__setattr__
+        set_field(self, "A_s", A_s)
+        set_field(self, "A_c", A_c)
+        set_field(self, "dt_ratio", section.D / section.t)
+        set_field(self, "ld_ratio", section.L / section.D)
+        set_field(self, "alpha_s", A_s / A_c)
+        set_field(self, "xi_c", xi_c)
 
     @property
     def defaulted(self) -> tuple[str, ...]:

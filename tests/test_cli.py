@@ -271,6 +271,13 @@ class TestBatch:
         assert "given more than once" in err
         assert not rows_out.exists() and not summary_out.exists()
 
+    def test_unknown_method_reported_before_the_input_is_read(self, capsys, tmp_path):
+        code, _, err = run(capsys, ["batch", "--input", str(tmp_path / "absent.csv"),
+                                    "--method", "bogus"])
+        assert code == 2
+        assert "unknown method 'bogus'" in err
+        assert "cannot read" not in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, ["batch", "--input", str(tmp_path / "absent.csv")])
         assert code == 2

@@ -6,6 +6,7 @@ import pytest
 
 from cfstcol import (
     MethodId,
+    RowError,
     SpecimenKind,
     SpecimenRecord,
     column_from_record,
@@ -92,6 +93,29 @@ class TestParse:
         kept = {"t_mm": "no concrete core", "fy_MPa": "below f_y"}
         expected = "must be finite" if "nan" in value else kept.get(cell, "must be finite")
         assert len(parsed.errors) == 1 and expected in parsed.errors[0].message
+
+    # rows with two faults each: the message names the fault checked first
+    @pytest.mark.parametrize("cells,message", [
+        ({"D_mm": "abc", "fy_MPa": ""}, "fy_MPa: required value is empty"),
+        ({"Ntest_kN": "-5", "t_mm": "50"}, "Ntest_kN: must be positive"),
+        ({"Ntest_kN": "0", "t_mm": "50"}, "Ntest_kN: must be positive"),
+        ({"t_mm": "50", "fu_MPa": "200"},
+         "D=100 mm and t=50 mm leave no concrete core (need D > 2t)"),
+        ({"D_mm": "-100", "fy_MPa": "-1"}, "D, t and L must all be positive"),
+        ({"fu_MPa": "200", "fc_measured_MPa": "-3"}, "f_u=200 MPa below f_y=300 MPa"),
+        ({"Es_MPa": "0", "fc_measured_MPa": "-1"}, "E_s must be positive"),
+        ({"fc_kind": "PRISM", "dmax_mm": "-5"}, "fc_kind: unknown specimen kind 'PRISM'"),
+        ({"fc_measured_MPa": "0", "dmax_mm": "-1"}, "measured strength must be positive"),
+        ({"dmax_mm": "-1", "Ntest_kN": "inf"}, "dmax_mm: must be non-negative"),
+        # the default f_u = 1.25*f_y overflows to infinity
+        ({"fu_MPa": "", "fy_MPa": "1.5e308"}, "f_u must be finite, got inf"),
+    ])
+    def test_first_of_two_faults_is_reported(self, cells, message):
+        row = dict(zip(CSV_HEADER, "s,100,5,300,300,450,200000,30,CYL150,20,650".split(",")))
+        row.update(cells)
+        parsed = parse_dataset(HEADER + "\n" + ",".join(row.values()) + "\n")
+        assert parsed.records == ()
+        assert parsed.errors == (RowError(2, message),)
 
     def test_wrong_column_count(self):
         parsed = parse_dataset(HEADER + "\nA1,100,5,300\n")
@@ -201,6 +225,14 @@ class TestEvaluate:
                 setattr(value, type(value)._fields[0], None)
             with pytest.raises(AttributeError):
                 value.extra = None
+
+    @pytest.mark.parametrize("methods", [(MethodId.ACI, MethodId.ACI),
+                                         (MethodId.EC4, MethodId.ACI, MethodId.EC4)])
+    def test_repeated_method_rejected(self, methods):
+        with pytest.raises(ValueError, match="given more than once"):
+            evaluate_dataset([record()], methods)
+        with pytest.raises(ValueError, match="given more than once"):
+            predict_all(column_from_record(record())[0], methods)
 
     def test_rows_keep_predictions_when_inapplicable(self):
         rows, _ = evaluate_dataset([record(fc=15.0)], (MethodId.EC4,))

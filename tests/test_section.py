@@ -1,5 +1,9 @@
+import csv
 import dataclasses
+import io
 import math
+import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +22,7 @@ from cfstcol import (
     concrete_elastic_modulus,
     confinement_factor,
     convert_strength,
+    parse_dataset,
     section_areas,
     section_second_moments,
 )
@@ -135,6 +140,45 @@ class TestClassification:
             rank = order.index(classify_concrete(f_c))
             assert rank >= previous
             previous = rank
+
+
+class TestEnumIdentityHash:
+    """The conversion table hashes a SpecimenKind and a ConcreteClass on every row."""
+
+    MEMBERS = [*SpecimenKind, *ConcreteClass]
+
+    @pytest.mark.parametrize("member", MEMBERS)
+    def test_lookup_by_value(self, member):
+        assert type(member)(member.value) is member
+
+    @pytest.mark.parametrize("member", MEMBERS)
+    def test_hash_is_identity_and_agrees_with_equality(self, member):
+        assert hash(member) == object.__hash__(member)
+        for other in self.MEMBERS:
+            assert (member == other) is (member is other)
+            if member == other:
+                assert hash(member) == hash(other)
+        assert {m: m.value for m in self.MEMBERS}[member] == member.value
+
+    @pytest.mark.parametrize("member", MEMBERS)
+    def test_pickle_round_trip_returns_the_member(self, member):
+        restored = pickle.loads(pickle.dumps(member))
+        assert restored is member
+        assert hash(restored) == hash(member)
+
+    def test_golden_fc_kind_spellings_map_to_their_members(self):
+        text = (Path(__file__).parent / "golden" / "batch_input.csv").read_text()
+        parsed = parse_dataset(text)
+        by_id = {rec.source_id: rec for rec in parsed.records}
+        spellings = set()
+        for cells in list(csv.reader(io.StringIO(text)))[1:]:
+            if cells and cells[0] in by_id:
+                spelling = cells[8].strip()
+                expected = SpecimenKind[spelling.upper()] if spelling else SpecimenKind.CYL150
+                assert by_id[cells[0]].fc_kind is expected
+                spellings.add(spelling)
+        assert {"CYL150", "cyl150", "CYL100", "cyl100", "Cyl100", "CUBE100", "cube150",
+                "Cube150", ""} <= spellings
 
 
 class TestConvertStrength:
