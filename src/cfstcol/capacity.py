@@ -38,6 +38,8 @@ DATABASE_ENVELOPE: dict[str, tuple[float, float]] = {
     "D/t": (10.1, 220.9),
 }
 
+DBJ_FCK_FACTOR = 0.67  # DBJ cube-to-characteristic strength factor
+
 NON_PHYSICAL_CONFINED_STRESS = "NON_PHYSICAL_CONFINED_STRESS"
 NON_PHYSICAL_LENGTH_FACTOR = "NON_PHYSICAL_LENGTH_FACTOR"
 
@@ -81,12 +83,11 @@ class PredictionSettings:
     K: float = 1.0  # effective length factor (pin-ended stubs)
     r_cc: float = 1.0  # CISC C_fs/C_f stiffness ratio
     oliveira_mode: OliveiraMode = OliveiraMode.AS_PRINTED
-    dbj_fck_factor: float = 0.67  # cube-to-characteristic strength factor
 
     def __post_init__(self) -> None:
-        if self.K_e <= 0 or self.K <= 0 or self.r_cc <= 0 or self.dbj_fck_factor <= 0:
+        if self.K_e <= 0 or self.K <= 0 or self.r_cc <= 0:
             raise ValueError("all settings factors must be positive")
-        _require_finite(K_e=self.K_e, K=self.K, r_cc=self.r_cc, dbj_fck_factor=self.dbj_fck_factor)
+        _require_finite(K_e=self.K_e, K=self.K, r_cc=self.r_cc)
 
 
 DEFAULT_SETTINGS = PredictionSettings()
@@ -189,14 +190,51 @@ def check_applicability(method: MethodId, column: ColumnSpec) -> ApplicabilityRe
 
 
 # ---------------------------------------------------------------------------
+# method registry
+# ---------------------------------------------------------------------------
+
+# A formula's result: the load (N), its intermediates and its diagnostics.
+_Result = tuple[float, dict[str, float], tuple[str, ...]]
+_Formula = Callable[[ColumnSpec, PredictionSettings], _Result]
+_Predictor = Callable[[ColumnSpec, PredictionSettings], CapacityPrediction]
+
+# Per method, in MethodId order: its public predictor and its published
+# limits in printed order.
+_METHODS: dict[MethodId, tuple[_Predictor, tuple[_Limit, ...]]] = {}
+
+
+def _method(method: MethodId, *limits: _Limit) -> Callable[[_Formula], _Predictor]:
+    """Register a formula ``(column, settings) -> (N, intermediates, diagnostics)``.
+
+    The formula is replaced by its public predictor: the only code that gates
+    a load by its method's limits and builds the CapacityPrediction.
+    """
+
+    def register(formula: _Formula) -> _Predictor:
+        def predictor(
+            column: ColumnSpec, settings: PredictionSettings = DEFAULT_SETTINGS
+        ) -> CapacityPrediction:
+            N, intermediates, diagnostics = formula(column, settings)
+            return CapacityPrediction(
+                method, N, check_applicability(method, column), intermediates, diagnostics
+            )
+
+        predictor.__name__ = predictor.__qualname__ = formula.__name__
+        predictor.__doc__ = formula.__doc__
+        _METHODS[method] = (predictor, limits)
+        return predictor
+
+    return register
+
+
+# ---------------------------------------------------------------------------
 # design codes
 # ---------------------------------------------------------------------------
 
-
-def predict_aci(column: ColumnSpec) -> CapacityPrediction:
-    """ACI squash load N = A_s*f_y + 0.85*A_c*f_c."""
-    N = column.A_s * column.steel.f_y + 0.85 * column.A_c * column.concrete.f_c
-    return CapacityPrediction(MethodId.ACI, N, check_applicability(MethodId.ACI, column), {})
+_EC4_ACI_LIMITS = (
+    _limit("D/t <= sqrt(8*Es/fy)", "D/t", hi=lambda c: math.sqrt(8.0 * c.steel.E_s / c.steel.f_y)),
+    _limit("f_c' >= 17.2 MPa", "f_c", lo=17.2),
+)
 
 
 def ec4_coefficients(
@@ -213,9 +251,8 @@ def ec4_coefficients(
     return Ec4Coefficients(lam, eta_a, eta_c4, N_pl_Rk, N_cr)
 
 
-def predict_ec4(
-    column: ColumnSpec, settings: PredictionSettings = DEFAULT_SETTINGS
-) -> CapacityPrediction:
+@_method(MethodId.EC4, *_EC4_ACI_LIMITS)
+def predict_ec4(column: ColumnSpec, settings: PredictionSettings) -> _Result:
     """EC4 capacity with the confinement enhancement term on the concrete part."""
     c = ec4_coefficients(column, settings)
     f_y, f_c = column.steel.f_y, column.concrete.f_c
@@ -223,14 +260,16 @@ def predict_ec4(
     N = c.eta_a * column.A_s * f_y + column.A_c * f_c * (
         1.0 + c.eta_c_ec4 * (t * f_y) / (D * f_c)
     )
-    return CapacityPrediction(
-        MethodId.EC4, N, check_applicability(MethodId.EC4, column), c._asdict()
-    )
+    return N, c._asdict(), ()
 
 
-def predict_aisc(
-    column: ColumnSpec, settings: PredictionSettings = DEFAULT_SETTINGS
-) -> CapacityPrediction:
+@_method(
+    MethodId.AISC,
+    _limit("D/t <= 0.15*Es/fy", "D/t", hi=lambda c: 0.15 * c.steel.E_s / c.steel.f_y),
+    _limit("fy <= 525 MPa", "f_y", hi=525.0),
+    _limit("21 <= f_c' <= 70 MPa", "f_c", 21.0, 70.0),
+)
+def predict_aisc(column: ColumnSpec, settings: PredictionSettings) -> _Result:
     """AISC column curve applied to the composite squash load P_0.
 
     Inelastic branch ``P_0 * 0.658**(P_0/P_e)`` for ``P_e >= 0.44*P_0``
@@ -254,15 +293,11 @@ def predict_aisc(
     diagnostics = []
     if C_3 > 0.9:
         diagnostics.append(f"C_3={C_3:.4g} exceeds 0.9 (no cap applied, as published)")
-    inter = {"P_0": P_0, "P_e": P_e, "C_3": C_3}
-    return CapacityPrediction(
-        MethodId.AISC, N, check_applicability(MethodId.AISC, column), inter, tuple(diagnostics)
-    )
+    return N, {"P_0": P_0, "P_e": P_e, "C_3": C_3}, tuple(diagnostics)
 
 
-def predict_cisc(
-    column: ColumnSpec, settings: PredictionSettings = DEFAULT_SETTINGS
-) -> CapacityPrediction:
+@_method(MethodId.CISC)
+def predict_cisc(column: ColumnSpec, settings: PredictionSettings) -> _Result:
     """CISC capacity with the short-column tau/tau' factors and slenderness reduction."""
     f_y, f_c = column.steel.f_y, column.concrete.f_c
     A_s, A_c = column.A_s, column.A_c
@@ -280,16 +315,19 @@ def predict_cisc(
     EI = column.steel.E_s * I_s + 0.6 * column.concrete.E_c * I_c / settings.r_cc
     lam = math.sqrt(base / (math.pi**2 * EI / (settings.K * column.section.L) ** 2))
     N = base * (1.0 + lam**3.6) ** -0.556
-    inter = {"rho": rho, "tau": tau, "tau_prime": tau_p, "lambda": lam}
-    return CapacityPrediction(MethodId.CISC, N, check_applicability(MethodId.CISC, column), inter)
+    return N, {"rho": rho, "tau": tau, "tau_prime": tau_p, "lambda": lam}, ()
 
 
-def predict_dbj(
-    column: ColumnSpec, settings: PredictionSettings = DEFAULT_SETTINGS
-) -> CapacityPrediction:
+@_method(
+    MethodId.DBJ,
+    _limit("D/t <= 150*235/fy", "D/t", hi=lambda c: 150.0 * 235.0 / c.steel.f_y),
+    _limit("235 <= fy <= 420 MPa", "f_y", 235.0, 420.0),
+    _limit("24 <= f_c' <= 70 MPa", "f_c", 24.0, 70.0),
+)
+def predict_dbj(column: ColumnSpec, settings: PredictionSettings) -> _Result:
     """DBJ composite strength f_sc = f_ck*(1.14 + 1.02*xi) over the gross area.
 
-    f_ck is recovered as dbj_fck_factor * f_cu150, back-converting the
+    f_ck is recovered as DBJ_FCK_FACTOR * f_cu150, back-converting the
     cylinder strength with the class factor (0.88 NSC, 0.98 HSC).  UHSC has
     no published cube factor; the HSC factor is extrapolated under a
     diagnostic so the load is still reported.
@@ -306,13 +344,16 @@ def predict_dbj(
         diagnostics.append(
             "cube conversion undefined for UHSC; HSC factor 0.98 extrapolated for f_ck"
         )
-    f_ck = settings.dbj_fck_factor * f_cu150
+    f_ck = DBJ_FCK_FACTOR * f_cu150
     xi_dbj = f_y * column.A_s / (f_ck * column.A_c)
     N = f_ck * (1.14 + 1.02 * xi_dbj) * (column.A_s + column.A_c)
-    inter = {"f_ck": f_ck, "xi_dbj": xi_dbj}
-    return CapacityPrediction(
-        MethodId.DBJ, N, check_applicability(MethodId.DBJ, column), inter, tuple(diagnostics)
-    )
+    return N, {"f_ck": f_ck, "xi_dbj": xi_dbj}, tuple(diagnostics)
+
+
+@_method(MethodId.ACI, *_EC4_ACI_LIMITS)
+def predict_aci(column: ColumnSpec, settings: PredictionSettings) -> _Result:
+    """ACI squash load N = A_s*f_y + 0.85*A_c*f_c."""
+    return column.A_s * column.steel.f_y + 0.85 * column.A_c * column.concrete.f_c, {}, ()
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +361,8 @@ def predict_dbj(
 # ---------------------------------------------------------------------------
 
 
-def predict_oshea(column: ColumnSpec) -> CapacityPrediction:
+@_method(MethodId.OSHEA, _limit("D/t <= 200", "D/t", hi=200.0))
+def predict_oshea(column: ColumnSpec, settings: PredictionSettings) -> _Result:
     """O'Shea & Bridge confined-stress formula, evaluated exactly as published.
 
     The normal-strength branch can produce a negative confined stress for
@@ -349,22 +391,23 @@ def predict_oshea(column: ColumnSpec) -> CapacityPrediction:
         inter = {"p": p, "k": k, "sigma_cp": sigma_cp}
     if sigma_cp <= 0.0:
         diagnostics.append(f"{NON_PHYSICAL_CONFINED_STRESS}: sigma_cp = {sigma_cp:.4g} MPa")
-    N = sigma_cp * column.A_c + column.A_s * f_y
-    return CapacityPrediction(
-        MethodId.OSHEA, N, check_applicability(MethodId.OSHEA, column), inter, tuple(diagnostics)
-    )
+    return sigma_cp * column.A_c + column.A_s * f_y, inter, tuple(diagnostics)
 
 
-def predict_yu(column: ColumnSpec) -> CapacityPrediction:
+@_method(
+    MethodId.YU,
+    _limit("235 <= fy <= 345 MPa", "f_y", 235.0, 345.0),
+    _limit("30 <= f_c' <= 60 MPa", "f_c", 30.0, 60.0),
+    _limit("0.2 <= xi <= 2", "xi", 0.2, 2.0),
+)
+def predict_yu(column: ColumnSpec, settings: PredictionSettings) -> _Result:
     """Yu steel-tube-confined strength f_cc = (1.14 + 1.34*xi)*f_c over the core."""
     f_cc = (1.14 + 1.34 * column.xi_c) * column.concrete.f_c
-    N = f_cc * column.A_c
-    return CapacityPrediction(
-        MethodId.YU, N, check_applicability(MethodId.YU, column), {"f_cc": f_cc}
-    )
+    return f_cc * column.A_c, {"f_cc": f_cc}, ()
 
 
-def predict_liu(column: ColumnSpec) -> CapacityPrediction:
+@_method(MethodId.LIU)
+def predict_liu(column: ColumnSpec, settings: PredictionSettings) -> _Result:
     """Liu partial-yield superposition with hoop-stress confinement.
 
     The published material gives two expressions for the radial pressure,
@@ -390,64 +433,55 @@ def predict_liu(column: ColumnSpec) -> CapacityPrediction:
         "sigma_r_simplified": sigma_r_simplified,
         "sigma_cp": sigma_cp,
     }
-    return CapacityPrediction(
-        MethodId.LIU, N, check_applicability(MethodId.LIU, column), inter, diagnostics
-    )
+    return N, inter, diagnostics
 
 
-def predict_sun(column: ColumnSpec) -> CapacityPrediction:
+@_method(MethodId.SUN)
+def predict_sun(column: ColumnSpec, settings: PredictionSettings) -> _Result:
     """Sun confined strength over the core; singular at D/t = 2."""
     dt = column.dt_ratio
     if dt <= 2.0:
         raise ValueError("D/t must exceed 2 (formula singular at D/t = 2)")
     f_y, f_c = column.steel.f_y, column.concrete.f_c
     f_cc = f_c * (1.0 + 8.2 * ((dt - 1.0) * f_y) / ((dt - 2.0) ** 2 * f_c))
-    N = f_cc * column.A_c
-    return CapacityPrediction(
-        MethodId.SUN, N, check_applicability(MethodId.SUN, column), {"f_cc": f_cc}
-    )
+    return f_cc * column.A_c, {"f_cc": f_cc}, ()
 
 
-def predict_zhong_miao(column: ColumnSpec, p_0: float = 0.0) -> CapacityPrediction:
+@_method(MethodId.ZHONG_MIAO)
+def predict_zhong_miao(column: ColumnSpec, settings: PredictionSettings) -> _Result:
     """Zhong & Miao limit-state superposition.
 
-    p_0 is the lateral pressure on the core at ultimate; it is left
-    undefined in the published formula and is therefore an explicit caller
-    input defaulting to 0 (which reduces the concrete term to f_c*A_c).
+    The published formula leaves p_0, the lateral pressure on the core at
+    ultimate, undefined; it is taken as 0, which reduces the concrete term
+    (f_c + 4*p_0)*A_c to f_c*A_c, and reported among the intermediates.
     """
-    if p_0 < 0:
-        raise ValueError("p_0 must be non-negative")
-    f_y, f_c = column.steel.f_y, column.concrete.f_c
     mu = -0.5 - 1.0 / (2.0 * (column.xi_c + 1.0))
     steel_factor = (mu + 2.0) / math.sqrt(3.0 * (mu * mu + mu + 1.0))
-    N_s = steel_factor * f_y * column.A_s
-    N_c = (f_c + 4.0 * p_0) * column.A_c
-    inter = {"mu_prime": mu, "steel_factor": steel_factor, "p_0": p_0}
-    return CapacityPrediction(
-        MethodId.ZHONG_MIAO, N_s + N_c, check_applicability(MethodId.ZHONG_MIAO, column), inter
-    )
+    N = steel_factor * column.steel.f_y * column.A_s + column.concrete.f_c * column.A_c
+    return N, {"mu_prime": mu, "steel_factor": steel_factor, "p_0": 0.0}, ()
 
 
-def predict_guo(column: ColumnSpec) -> CapacityPrediction:
+@_method(MethodId.GUO, _limit("xi <= 1.7", "xi", hi=1.7))
+def predict_guo(column: ColumnSpec, settings: PredictionSettings) -> _Result:
     """Guo confined strength f_cc = f_c*(1 + sqrt(xi) + 1.1*xi) over the core."""
     xi = column.xi_c
     f_cc = column.concrete.f_c * (1.0 + math.sqrt(xi) + 1.1 * xi)
-    N = f_cc * column.A_c
-    return CapacityPrediction(
-        MethodId.GUO, N, check_applicability(MethodId.GUO, column), {"f_cc": f_cc}
-    )
+    return f_cc * column.A_c, {"f_cc": f_cc}, ()
 
 
-def predict_oliveira(
-    column: ColumnSpec, mode: OliveiraMode = OliveiraMode.AS_PRINTED
-) -> CapacityPrediction:
-    """De Oliveira squash load scaled by a length-effect factor lambda."""
+@_method(MethodId.DE_OLIVEIRA, _limit("1 <= L/D <= 10", "L/D", 1.0, 10.0))
+def predict_oliveira(column: ColumnSpec, settings: PredictionSettings) -> _Result:
+    """De Oliveira squash load scaled by a length-effect factor lambda.
+
+    Above L/D = 3, settings.oliveira_mode selects the printed or the corrected
+    reading of lambda (see OliveiraMode).
+    """
     base = column.A_c * column.concrete.f_c + column.A_s * column.steel.f_y
     ld = column.ld_ratio
     diagnostics = []
     if ld <= 3.0:
         lam = 1.0
-    elif mode is OliveiraMode.AS_PRINTED:
+    elif settings.oliveira_mode is OliveiraMode.AS_PRINTED:
         lam = -0.18 * math.log(ld)
         if lam <= 0.0:
             diagnostics.append(
@@ -455,15 +489,7 @@ def predict_oliveira(
             )
     else:
         lam = 1.0 - 0.18 * math.log(ld / 3.0)
-    N = base * lam
-    inter = {"lambda": lam, "base": base}
-    return CapacityPrediction(
-        MethodId.DE_OLIVEIRA,
-        N,
-        check_applicability(MethodId.DE_OLIVEIRA, column),
-        inter,
-        tuple(diagnostics),
-    )
+    return base * lam, {"lambda": lam, "base": base}, tuple(diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +522,17 @@ def proposed_factors(column: ColumnSpec) -> ProposedFactors:
     )
 
 
-def _envelope_flags(column: ColumnSpec) -> list[str]:
+def _envelope_flags(column: ColumnSpec) -> tuple[str, ...]:
     flags = []
     for name, (lo, hi) in DATABASE_ENVELOPE.items():
         value = _QUANTITY[name](column)
         if not lo <= value <= hi:
             flags.append(f"{name} = {value:g} outside calibration envelope [{lo:g}, {hi:g}]")
-    return flags
+    return tuple(flags)
 
 
-def predict_proposed(column: ColumnSpec) -> CapacityPrediction:
+@_method(MethodId.PROPOSED)
+def predict_proposed(column: ColumnSpec, settings: PredictionSettings) -> _Result:
     """Superposition N = eta_c*A_c*f_c + eta_s*A_s*f_y.
 
     Applicable for any column; excursions outside the calibration envelope
@@ -516,56 +543,12 @@ def predict_proposed(column: ColumnSpec) -> CapacityPrediction:
         factors.eta_c * column.A_c * column.concrete.f_c
         + factors.eta_s * column.A_s * column.steel.f_y
     )
-    return CapacityPrediction(
-        MethodId.PROPOSED,
-        N,
-        check_applicability(MethodId.PROPOSED, column),
-        factors._asdict(),
-        tuple(_envelope_flags(column)),
-    )
+    return N, factors._asdict(), _envelope_flags(column)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
-
-_EC4_ACI_LIMITS = (
-    _limit("D/t <= sqrt(8*Es/fy)", "D/t", hi=lambda c: math.sqrt(8.0 * c.steel.E_s / c.steel.f_y)),
-    _limit("f_c' >= 17.2 MPa", "f_c", lo=17.2),
-)
-
-# Per method: the predictor, called as (column, settings), and its
-# published limits in printed order.
-_METHODS: dict[MethodId, tuple[Callable[..., CapacityPrediction], tuple[_Limit, ...]]] = {
-    MethodId.EC4: (lambda c, s: predict_ec4(c, s), _EC4_ACI_LIMITS),
-    MethodId.AISC: (lambda c, s: predict_aisc(c, s), (
-        _limit("D/t <= 0.15*Es/fy", "D/t", hi=lambda c: 0.15 * c.steel.E_s / c.steel.f_y),
-        _limit("fy <= 525 MPa", "f_y", hi=525.0),
-        _limit("21 <= f_c' <= 70 MPa", "f_c", 21.0, 70.0),
-    )),
-    MethodId.CISC: (lambda c, s: predict_cisc(c, s), ()),
-    MethodId.DBJ: (lambda c, s: predict_dbj(c, s), (
-        _limit("D/t <= 150*235/fy", "D/t", hi=lambda c: 150.0 * 235.0 / c.steel.f_y),
-        _limit("235 <= fy <= 420 MPa", "f_y", 235.0, 420.0),
-        _limit("24 <= f_c' <= 70 MPa", "f_c", 24.0, 70.0),
-    )),
-    MethodId.ACI: (lambda c, s: predict_aci(c), _EC4_ACI_LIMITS),
-    MethodId.OSHEA: (lambda c, s: predict_oshea(c), (_limit("D/t <= 200", "D/t", hi=200.0),)),
-    MethodId.YU: (lambda c, s: predict_yu(c), (
-        _limit("235 <= fy <= 345 MPa", "f_y", 235.0, 345.0),
-        _limit("30 <= f_c' <= 60 MPa", "f_c", 30.0, 60.0),
-        _limit("0.2 <= xi <= 2", "xi", 0.2, 2.0),
-    )),
-    MethodId.LIU: (lambda c, s: predict_liu(c), ()),
-    MethodId.SUN: (lambda c, s: predict_sun(c), ()),
-    MethodId.ZHONG_MIAO: (lambda c, s: predict_zhong_miao(c), ()),
-    MethodId.GUO: (lambda c, s: predict_guo(c), (_limit("xi <= 1.7", "xi", hi=1.7),)),
-    MethodId.DE_OLIVEIRA: (
-        lambda c, s: predict_oliveira(c, s.oliveira_mode),
-        (_limit("1 <= L/D <= 10", "L/D", 1.0, 10.0),),
-    ),
-    MethodId.PROPOSED: (lambda c, s: predict_proposed(c), ()),
-}
 
 
 def predict(

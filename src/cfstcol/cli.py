@@ -16,6 +16,7 @@ import sys
 from dataclasses import asdict
 
 from .capacity import (
+    DBJ_FCK_FACTOR,
     CapacityPrediction,
     MethodId,
     OliveiraMode,
@@ -30,7 +31,7 @@ from .dataset import (
     evaluate_rows,
     parse_dataset,
 )
-from .materials import sample_concrete_curve, sample_steel_curve, steel_curve_params
+from .materials import sample_concrete_curve, sample_steel_curve
 from .response import response_curve
 from .section import (
     CircularSection,
@@ -53,7 +54,7 @@ def _run_config(settings: PredictionSettings, Ec_override: float | None) -> dict
         "K": settings.K,
         "r_cc": settings.r_cc,
         "oliveira_mode": settings.oliveira_mode.value,
-        "dbj_fck_factor": settings.dbj_fck_factor,
+        "dbj_fck_factor": DBJ_FCK_FACTOR,
         "Ec_override": Ec_override,
         "ratio_orientation": RATIO_ORIENTATION,
         "std_estimator": "sample (n-1)",
@@ -234,10 +235,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise ValueError("--n must be at least 2")
     if args.material == "steel":
-        eps_max = args.eps_max
-        if eps_max is None:
-            eps_max = steel_curve_params(column.steel).eps_u
-        curve = sample_steel_curve(column.steel, args.n, eps_max)
+        curve = sample_steel_curve(column.steel, args.n, args.eps_max)
     else:
         eps_max = args.eps_max if args.eps_max is not None else 0.03
         curve = sample_concrete_curve(column, args.n, eps_max)

@@ -104,15 +104,16 @@ def _parse_row(line: int, cells: list[str]) -> SpecimenRecord:
     # one local per CSV_HEADER column, named after it
     (source_id, D_mm, t_mm, L_mm, fy_MPa, fu_MPa, Es_MPa, fc_measured_MPa, fc_kind, dmax_mm,
      Ntest_kN) = [cell.strip() for cell in cells]
+    # named after the fields they default, in the order evaluated rows list them
     defaulted = []
-    if not fu_MPa:
-        defaulted.append("fu_MPa")
-    if not Es_MPa:
-        defaulted.append("Es_MPa")
     if not fc_kind:
         defaulted.append("fc_kind")
+    if not fu_MPa:
+        defaulted.append("f_u")
+    if not Es_MPa:
+        defaulted.append("E_s")
     if not dmax_mm:
-        defaulted.append("dmax_mm")
+        defaulted.append("d_max")
     if not (D_mm and t_mm and L_mm and fy_MPa and fc_measured_MPa and Ntest_kN):
         for name, cell in (("D_mm", D_mm), ("t_mm", t_mm), ("L_mm", L_mm), ("fy_MPa", fy_MPa),
                            ("fc_measured_MPa", fc_measured_MPa), ("Ntest_kN", Ntest_kN)):

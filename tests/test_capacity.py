@@ -268,20 +268,13 @@ class TestZhongMiao:
         assert pred.N_u == approx(588055.42651, rel=1e-9)
         assert pred.intermediates["mu_prime"] == approx(-0.649446494465, rel=1e-9)
         assert pred.intermediates["steel_factor"] == approx(0.887255128998, rel=1e-9)
-
-    def test_linear_in_p0(self, r1):
-        base = predict_zhong_miao(r1, p_0=0.0).N_u
-        assert predict_zhong_miao(r1, p_0=5.0).N_u == approx(base + 4 * 5 * r1.A_c, rel=1e-12)
+        assert pred.intermediates["p_0"] == 0.0
 
     def test_high_confinement_limit(self, make_column):
         column = make_column(100, 5, 300, 1e5, 30)
         pred = predict_zhong_miao(column)
         assert pred.intermediates["mu_prime"] == approx(-0.5, abs=1e-3)
         assert pred.intermediates["steel_factor"] == approx(1.0, abs=1e-3)
-
-    def test_negative_p0_rejected(self, r1):
-        with pytest.raises(ValueError):
-            predict_zhong_miao(r1, p_0=-1.0)
 
 
 class TestGuo:
@@ -318,10 +311,11 @@ class TestOliveira:
 
     def test_corrected_mode_continuous(self, make_column):
         column = make_column(100, 5, 400, 300, 30)
-        pred = predict_oliveira(column, OliveiraMode.CORRECTED)
+        corrected = PredictionSettings(oliveira_mode=OliveiraMode.CORRECTED)
+        pred = predict_oliveira(column, corrected)
         assert pred.intermediates["lambda"] == approx(0.948217226959, rel=1e-9)
         assert pred.diagnostics == ()
-        just_above = predict_oliveira(make_column(100, 5, 300.0003, 300, 30), OliveiraMode.CORRECTED)
+        just_above = predict_oliveira(make_column(100, 5, 300.0003, 300, 30), corrected)
         assert just_above.intermediates["lambda"] == approx(1.0, abs=1e-5)
 
     @pytest.mark.parametrize("L,ok", [(50, False), (100, True), (1000, True), (1200, False)])
@@ -408,7 +402,7 @@ class TestCrossCutting:
         for method in (MethodId.LIU, MethodId.SUN, MethodId.ZHONG_MIAO, MethodId.PROPOSED, MethodId.CISC):
             assert check_applicability(method, column).applicable
 
-    @pytest.mark.parametrize("field", ["K_e", "K", "r_cc", "dbj_fck_factor"])
+    @pytest.mark.parametrize("field", ["K_e", "K", "r_cc"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_settings_reject_non_finite(self, field, bad):
         with pytest.raises(ValueError, match="must be finite"):
@@ -476,6 +470,51 @@ def test_readme_limits_list_matches_the_method_table():
         texts = ", ".join(f"`{text}`" for text, *_ in _METHODS[method][1])
         expected.append(f"- `{method.value}`: {texts or 'none'}")
     assert listed == expected
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out[:13]] == [m.value for m in MethodId]
+    corrected_kN, as_printed_kN = float(out[13].split()[0]), float(out[13].split()[3])
+    assert corrected_kN > 0 > as_printed_kN
+
+
+PUBLIC_PREDICTORS = {
+    MethodId.EC4: predict_ec4,
+    MethodId.AISC: predict_aisc,
+    MethodId.CISC: predict_cisc,
+    MethodId.DBJ: predict_dbj,
+    MethodId.ACI: predict_aci,
+    MethodId.OSHEA: predict_oshea,
+    MethodId.YU: predict_yu,
+    MethodId.LIU: predict_liu,
+    MethodId.SUN: predict_sun,
+    MethodId.ZHONG_MIAO: predict_zhong_miao,
+    MethodId.GUO: predict_guo,
+    MethodId.DE_OLIVEIRA: predict_oliveira,
+    MethodId.PROPOSED: predict_proposed,
+}
+
+
+class TestRegistry:
+    def test_one_registration_per_method_in_declaration_order(self):
+        assert tuple(_METHODS) == tuple(MethodId)
+
+    def test_registered_predictor_is_the_public_one(self):
+        for method, predictor in PUBLIC_PREDICTORS.items():
+            assert _METHODS[method][0] is predictor
+
+    def test_predict_and_public_predictor_agree_under_non_default_settings(self, make_column):
+        column = make_column(100, 5, 800, 300, 30)  # L/D = 8
+        settings = PredictionSettings(K_e=0.9, K=2.0, r_cc=1.5, oliveira_mode=OliveiraMode.CORRECTED)
+        for method, predictor in PUBLIC_PREDICTORS.items():
+            assert predict(column, method, settings) == predictor(column, settings)
+        for method in (MethodId.EC4, MethodId.AISC, MethodId.CISC, MethodId.DE_OLIVEIRA):
+            assert predict(column, method, settings).N_u != predict(column, method).N_u
 
 
 class TestMethodId:

@@ -55,7 +55,7 @@ class TestParse:
         rec = parsed.records[0]
         assert rec.f_u is None and rec.E_s is None and rec.d_max is None
         assert rec.fc_kind is SpecimenKind.CYL100
-        assert set(rec.defaulted) == {"fu_MPa", "Es_MPa", "dmax_mm"}
+        assert rec.defaulted == ("f_u", "E_s", "d_max")
 
     def test_fc_kind_defaults_to_cyl150(self):
         text = HEADER + "\nA1,100,5,300,300,,,30,,,650\n"
@@ -233,6 +233,15 @@ class TestEvaluate:
             evaluate_dataset([record()], methods)
         with pytest.raises(ValueError, match="given more than once"):
             predict_all(column_from_record(record())[0], methods)
+
+    def test_defaulted_names_fields_on_error_rows_too(self):
+        text = (HEADER + "\nok,100,5,300,300,,,30,,,650"
+                "\nuhsc_cube,200,5,600,400,,,150,CUBE100,,900\n")
+        rows, _ = evaluate_dataset(parse_dataset(text).records, (MethodId.ACI,))
+        assert rows[0].error is None
+        assert rows[0].defaulted == ("fc_kind", "f_u", "E_s", "d_max", "E_c")
+        assert rows[1].error is not None
+        assert rows[1].defaulted == ("f_u", "E_s", "d_max")
 
     def test_rows_keep_predictions_when_inapplicable(self):
         rows, _ = evaluate_dataset([record(fc=15.0)], (MethodId.EC4,))
