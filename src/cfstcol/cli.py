@@ -4,51 +4,25 @@ Subcommands: predict (all thirteen capacity methods on one column), curve
 (steel or confined-concrete stress-strain CSV), cdpm (FE material card),
 respond (fiber axial load-strain CSV), batch (dataset CSV in, per-row CSV
 plus JSON statistics out).  Loads are reported in kN at 0.1 kN resolution.
+
+This module holds the parser.  Each subcommand imports the layers it runs
+when it runs, so that a cold call loads no layer it does not use; the
+annotations name those layers' types without importing them.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import json
-import math
 import sys
-from dataclasses import asdict
-
-from .capacity import (
-    DBJ_FCK_FACTOR,
-    CapacityPrediction,
-    MethodId,
-    OliveiraMode,
-    PredictionSettings,
-    check_distinct,
-    predict_all,
-)
-from .cards import render_cdpm_card
-from .dataset import (
-    RATIO_ORIENTATION,
-    RatioStats,
-    evaluate_rows,
-    parse_dataset,
-)
-from .materials import sample_concrete_curve, sample_steel_curve
-from .response import response_curve
-from .section import (
-    CircularSection,
-    ColumnSpec,
-    ConcreteMaterial,
-    ConvertedStrength,
-    MeasuredStrength,
-    SpecimenKind,
-    SteelMaterial,
-    convert_strength,
-)
 
 USAGE_ERROR = 2
+RATIO_ORIENTATION = "N_test/N_u"  # the ratio that batch statistics summarise
 
 
 def _run_config(settings: PredictionSettings, Ec_override: float | None) -> dict:
     """One run's auditable configuration: formula settings and the concrete modulus override."""
+    from .capacity import DBJ_FCK_FACTOR
+
     return {
         "K_e": settings.K_e,
         "K": settings.K,
@@ -62,6 +36,8 @@ def _run_config(settings: PredictionSettings, Ec_override: float | None) -> dict
 
 
 def _add_column_args(parser: argparse.ArgumentParser) -> None:
+    from .section import SpecimenKind
+
     g = parser.add_argument_group("column")
     g.add_argument("--D", type=float, required=True, help="outer diameter (mm)")
     g.add_argument("--t", type=float, required=True, help="wall thickness (mm)")
@@ -81,6 +57,8 @@ def _add_column_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
+    from .capacity import OliveiraMode
+
     g = parser.add_argument_group("formula settings")
     g.add_argument("--ke", type=float, default=0.6, help="EC4 concrete stiffness factor K_e")
     g.add_argument("--keff", type=float, default=1.0, help="effective length factor K")
@@ -94,6 +72,8 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _settings(args: argparse.Namespace) -> PredictionSettings:
+    from .capacity import OliveiraMode, PredictionSettings
+
     return PredictionSettings(
         K_e=args.ke,
         K=args.keff,
@@ -103,6 +83,16 @@ def _settings(args: argparse.Namespace) -> PredictionSettings:
 
 
 def _build_column(args: argparse.Namespace) -> tuple[ColumnSpec, ConvertedStrength]:
+    from .section import (
+        CircularSection,
+        ColumnSpec,
+        ConcreteMaterial,
+        MeasuredStrength,
+        SpecimenKind,
+        SteelMaterial,
+        convert_strength,
+    )
+
     kind = SpecimenKind(args.fc_kind.upper())
     converted = convert_strength(MeasuredStrength(args.fc, kind))
     column = ColumnSpec(
@@ -114,6 +104,8 @@ def _build_column(args: argparse.Namespace) -> tuple[ColumnSpec, ConvertedStreng
 
 
 def _parse_methods(spec: str) -> tuple[MethodId, ...]:
+    from .capacity import MethodId, check_distinct
+
     if spec.strip().lower() == "all":
         return tuple(MethodId)
     methods = []
@@ -128,18 +120,28 @@ def _parse_methods(spec: str) -> tuple[MethodId, ...]:
     return tuple(methods)
 
 
-def _output(out: str | None):
-    """The file named by ``out`` opened for writing, or stdout (left open)."""
-    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+def _output(out: str | None, default):
+    """The file named by ``out`` opened for writing, or the stream ``default`` (left open)."""
+    if not out:
+        import contextlib
+
+        return contextlib.nullcontext(default)
+    try:
+        return open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc}") from None
 
 
 def _write(text: str, out: str | None) -> None:
-    with _output(out) as fh:
+    with _output(out, sys.stdout) as fh:
         fh.write(text)
 
 
 def _json(payload: dict) -> str:
     """Strict JSON text: a non-finite float, at any depth, is written as null."""
+    import json
+    import math
+
     def finite(value):
         if isinstance(value, float):
             return value if math.isfinite(value) else None
@@ -174,6 +176,8 @@ def _prediction_dicts(predictions: list[CapacityPrediction]) -> list[dict]:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    from .capacity import predict_all
+
     column, converted = _build_column(args)
     methods = _parse_methods(args.method)
     settings = _settings(args)
@@ -231,6 +235,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
+    from .materials import sample_concrete_curve, sample_steel_curve
+
     column, _ = _build_column(args)
     if args.n < 2:
         raise ValueError("--n must be at least 2")
@@ -246,12 +252,16 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_cdpm(args: argparse.Namespace) -> int:
+    from .cards import render_cdpm_card
+
     column, _ = _build_column(args)
     _write(render_cdpm_card(column), args.out)
     return 0
 
 
 def _cmd_respond(args: argparse.Namespace) -> int:
+    from .response import response_curve
+
     column, _ = _build_column(args)
     response = response_curve(column, args.eps_max, args.n)
     lines = ["strain,N_kN"]
@@ -265,9 +275,16 @@ def _cmd_respond(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    import os
+    from dataclasses import asdict
+
+    from .dataset import RatioStats, evaluate_rows, parse_dataset
+
     # usage errors first, so that a bad flag costs no read or parse of the input
     methods = _parse_methods(args.method)
     settings = _settings(args)
+    if args.out and args.summary_out and os.path.realpath(args.out) == os.path.realpath(args.summary_out):
+        raise ValueError(f"--out and --summary-out both name {args.out}")
     try:
         with open(args.input, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -282,7 +299,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         header += [f"Nu_{m.value}_kN", f"applicable_{m.value}"]
     header.append("diagnostics")
     stats = RatioStats(methods)
-    with _output(args.out) as fh:
+    # both outputs are opened after the read, since either may name the input,
+    # and before the row loop, so that an unwritable one costs no evaluation
+    with _output(args.out, sys.stdout) as fh, _output(args.summary_out, sys.stderr) as summary_fh:
         fh.write(",".join(header) + "\n")
         for row in evaluate_rows(parsed.records, methods, settings, Ec_override=args.ec):
             stats.add(row)
@@ -310,20 +329,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 cells += ["", ""] * len(methods)
             cells.append(("; ".join(diagnostics)).replace(",", ";"))
             fh.write(",".join(cells) + "\n")
-
-    summary = {
-        "config": _run_config(settings, args.ec),
-        "methods": [m.value for m in methods],
-        "n_rows": len(parsed.records),
-        "row_errors": [{"line": e.line, "message": e.message} for e in parsed.errors],
-        "summaries": [{**asdict(s), "method": s.method.value} for s in stats.summaries()],
-    }
-    text = _json(summary)
-    if args.summary_out:
-        with open(args.summary_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stderr.write(text)
+        summary_fh.write(_json({
+            "config": _run_config(settings, args.ec),
+            "methods": [m.value for m in methods],
+            "n_rows": len(parsed.records),
+            "row_errors": [{"line": e.line, "message": e.message} for e in parsed.errors],
+            "summaries": [{**asdict(s), "method": s.method.value} for s in stats.summaries()],
+        }))
     return 0
 
 

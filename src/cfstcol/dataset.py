@@ -57,8 +57,6 @@ CSV_HEADER = (
     "Ntest_kN",
 )
 
-RATIO_ORIENTATION = "N_test/N_u"
-
 
 class SpecimenRecord(NamedTuple):
     """One test specimen row; optional fields are None until defaulted at evaluation."""

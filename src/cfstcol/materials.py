@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .section import ColumnSpec, SteelMaterial, _require_finite
@@ -24,17 +23,11 @@ BETA_SOFTENING = 1.2
 EPS_C0_FIT_RANGE = (6.0, 105.0)  # MPa, fitted range of the peak-strain regression
 
 
-class CurveKind(Enum):
-    STEEL = "STEEL"
-    CONCRETE_CONFINED = "CONCRETE_CONFINED"
-
-
 @dataclass(frozen=True, slots=True)
 class StressStrainCurve:
     """Ordered (strain, stress MPa) samples for one material."""
 
     points: tuple[tuple[float, float], ...]
-    kind: CurveKind
 
     def __post_init__(self) -> None:
         if len(self.points) < 2:
@@ -44,14 +37,6 @@ class StressStrainCurve:
         strains = [p[0] for p in self.points]
         if not all(map(operator.lt, strains, strains[1:])):
             raise ValueError("strains must be strictly increasing")
-
-    @property
-    def strains(self) -> tuple[float, ...]:
-        return tuple(p[0] for p in self.points)
-
-    @property
-    def stresses(self) -> tuple[float, ...]:
-        return tuple(p[1] for p in self.points)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +377,7 @@ def sample_steel_curve(
         eps_max = params.eps_u
     grid = sample_grid((params.eps_y, params.eps_p, params.eps_u), eps_max, n)
     points = tuple(zip(grid, _steel_stresses(grid, steel, params)))
-    return StressStrainCurve(points, CurveKind.STEEL)
+    return StressStrainCurve(points)
 
 
 def sample_concrete_curve(column: ColumnSpec, n: int, eps_max: float) -> StressStrainCurve:
@@ -402,4 +387,4 @@ def sample_concrete_curve(column: ColumnSpec, n: int, eps_max: float) -> StressS
     E_c = column.concrete.E_c
     grid = sample_grid((params.eps_c0, params.eps_cc), eps_max, n)
     points = tuple(zip(grid, _concrete_stresses(grid, f_c, E_c, params)))
-    return StressStrainCurve(points, CurveKind.CONCRETE_CONFINED)
+    return StressStrainCurve(points)

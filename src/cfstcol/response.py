@@ -32,14 +32,6 @@ class AxialResponse:
     peak_strain: float
     residual_load: float
 
-    @property
-    def strains(self) -> tuple[float, ...]:
-        return tuple(p[0] for p in self.points)
-
-    @property
-    def loads(self) -> tuple[float, ...]:
-        return tuple(p[1] for p in self.points)
-
 
 def peak_load(points: tuple[tuple[float, float], ...]) -> tuple[float, float]:
     """Maximum load over the samples and the first strain attaining it."""

@@ -326,6 +326,54 @@ class TestBatch:
         assert json.dumps(json.loads(text), indent=2) + "\n" == text
 
 
+class TestUnwritableOutput:
+    """An output that cannot be opened is a usage error, found before any row is evaluated."""
+
+    @pytest.mark.parametrize("command", [["predict"], ["curve", "--material", "steel"],
+                                         ["cdpm"], ["respond"]])
+    def test_single_column_out_exits_2(self, capsys, tmp_path, command):
+        target = tmp_path / "absent" / "out.txt"
+        code, out, err = run(capsys, [*command, *R1_ARGS, "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--summary-out"])
+    def test_batch_checks_both_outputs_before_the_row_loop(self, capsys, tmp_path, flag):
+        source = tmp_path / "specimens.csv"
+        source.write_text(batch_fixture_text())
+        outputs = {"--out": tmp_path / "rows.csv", "--summary-out": tmp_path / "summary.json"}
+        outputs[flag] = tmp_path / "absent" / "out.txt"
+        code, out, err = run(capsys, ["batch", "--input", str(source),
+                                      *(arg for pair in outputs.items() for arg in map(str, pair))])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {outputs[flag]}: ")
+        # no row was written: the other output is absent or empty
+        assert all(not p.exists() or p.read_text() == "" for p in outputs.values())
+
+    def test_batch_outputs_must_be_two_files(self, capsys, tmp_path):
+        source = tmp_path / "specimens.csv"
+        source.write_text(batch_fixture_text())
+        target = tmp_path / "both.txt"
+        code, _, err = run(capsys, ["batch", "--input", str(source), "--out", str(target),
+                                    "--summary-out", str(tmp_path / "." / "both.txt")])
+        assert code == 2
+        assert err == f"error: --out and --summary-out both name {target}\n"
+        assert not target.exists()
+
+    def test_batch_out_may_name_its_input(self, capsys, tmp_path):
+        # the input is read before any output is opened, so it is not truncated first
+        source, expected = tmp_path / "specimens.csv", tmp_path / "rows.csv"
+        source.write_text(batch_fixture_text())
+        for out, summary in ((expected, "first.json"), (source, "second.json")):
+            code, _, err = run(capsys, ["batch", "--input", str(source), "--out", str(out),
+                                        "--summary-out", str(tmp_path / summary)])
+            assert code == 0, err
+        assert source.read_bytes() == expected.read_bytes()
+
+
 # xi_c = 990: the softening exponential overflows a float
 THICK_TUBE_ARGS = ["--D", "100", "--t", "45", "--L", "300", "--fy", "300", "--fc", "30"]
 

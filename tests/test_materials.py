@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfstcol import (
-    CurveKind,
     SteelMaterial,
     biaxial_ratio,
     cdpm_parameters,
@@ -296,34 +295,33 @@ class TestSampling:
     def test_steel_two_point_curve(self):
         curve = sample_steel_curve(STEEL_R1, 2, eps_max=0.0015)
         assert curve.points == ((0.0, 0.0), (0.0015, 300.0))
-        assert curve.kind is CurveKind.STEEL
 
     def test_steel_curve_default_extent(self):
         curve = sample_steel_curve(STEEL_R1, 50)
         assert curve.points[-1] == (0.15, 450.0)
-        assert 0.0015 in curve.strains and 0.0225 in curve.strains
+        strains = [eps for eps, _ in curve.points]
+        assert 0.0015 in strains and 0.0225 in strains
 
     def test_concrete_curve_contains_peak_row(self, r1):
         curve = sample_concrete_curve(r1, 80, 0.03)
-        idx = curve.strains.index(pytest.approx(1.8897e-3, rel=1e-12))
-        assert curve.stresses[idx] == approx(30.0, rel=1e-12)
-        assert curve.kind is CurveKind.CONCRETE_CONFINED
+        idx = [eps for eps, _ in curve.points].index(pytest.approx(1.8897e-3, rel=1e-12))
+        assert curve.points[idx][1] == approx(30.0, rel=1e-12)
 
     def test_concrete_curve_breakpoints_present_regardless_of_n(self, r1):
         for n in (2, 8, 64):
             curve = sample_concrete_curve(r1, n, 0.03)
-            assert any(math.isclose(s, 1.8897e-3, rel_tol=1e-12) for s in curve.strains)
-            assert any(math.isclose(s, 0.00890336203699, rel_tol=1e-9) for s in curve.strains)
+            assert any(math.isclose(s, 1.8897e-3, rel_tol=1e-12) for s, _ in curve.points)
+            assert any(math.isclose(s, 0.00890336203699, rel_tol=1e-9) for s, _ in curve.points)
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
-            StressStrainCurve(((0.0, 0.0),), CurveKind.STEEL)
+            StressStrainCurve(((0.0, 0.0),))
         with pytest.raises(ValueError):
-            StressStrainCurve(((0.0, 1.0), (0.1, 2.0)), CurveKind.STEEL)
+            StressStrainCurve(((0.0, 1.0), (0.1, 2.0)))
         with pytest.raises(ValueError):
-            StressStrainCurve(((0.0, 0.0), (0.1, 2.0), (0.1, 3.0)), CurveKind.STEEL)
+            StressStrainCurve(((0.0, 0.0), (0.1, 2.0), (0.1, 3.0)))
         with pytest.raises(ValueError):
-            StressStrainCurve(((0.0, 0.0), (math.nan, 2.0), (0.1, 3.0)), CurveKind.STEEL)
+            StressStrainCurve(((0.0, 0.0), (math.nan, 2.0), (0.1, 3.0)))
 
 
 # The per-point formulas as written before the whole-grid kernels, kept as
