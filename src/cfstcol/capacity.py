@@ -63,6 +63,11 @@ class MethodId(Enum):
     __hash__ = object.__hash__
 
 
+# every method in enum order: the default method set, built once since
+# iterating an Enum class runs Python-level code
+ALL_METHODS = tuple(MethodId)
+
+
 class OliveiraMode(Enum):
     """Slenderness factor handling for the De Oliveira formula above L/D = 3.
 
@@ -581,7 +586,7 @@ def predict_all(
     Raises ValueError when a method is listed twice.
     """
     if methods is None:
-        methods = tuple(MethodId)
+        methods = ALL_METHODS
     else:
         check_distinct(methods)
     return [predict(column, m, settings) for m in methods]

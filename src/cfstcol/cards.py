@@ -14,10 +14,6 @@ TABLE_EPS_MAX = 0.03  # its last strain
 FE_DOC_CONSTANTS = "steel-concrete friction 0.6, initial imperfection L/1000, element size D/10"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
-
-
 def render_cdpm_card(column: ColumnSpec) -> str:
     """Render the plasticity material card for a column.
 
@@ -31,8 +27,8 @@ def render_cdpm_card(column: ColumnSpec) -> str:
     s = column.section
     lines = [
         "# circular CFST material card (units: N, mm, MPa)",
-        f"# D={_fmt(s.D)} mm  t={_fmt(s.t)} mm  L={_fmt(s.L)} mm  "
-        f"fy={_fmt(column.steel.f_y)} MPa  fc'={_fmt(column.concrete.f_c)} MPa",
+        f"# D={s.D:.6g} mm  t={s.t:.6g} mm  L={s.L:.6g} mm  "
+        f"fy={column.steel.f_y:.6g} MPa  fc'={column.concrete.f_c:.6g} MPa",
     ]
     if column.defaulted:
         lines.append(f"# defaulted inputs: {', '.join(column.defaulted)}")
@@ -43,14 +39,14 @@ def render_cdpm_card(column: ColumnSpec) -> str:
         f"# FE modelling constants (documentation only): {FE_DOC_CONSTANTS}",
         "# [CDPM] field order: dilation_angle_deg eccentricity fb0_ratio Kc viscosity",
         "[ELASTIC]",
-        f"{_fmt(column.concrete.E_c)} {CONCRETE_POISSON:g}",
+        f"{column.concrete.E_c:.6g} {CONCRETE_POISSON:g}",
         "[CDPM]",
-        f"{_fmt(params.psi)} {params.ecc:g} {_fmt(params.fb0_ratio)} {_fmt(params.K_c)} {params.viscosity:g}",
+        f"{params.psi:.6g} {params.ecc:g} {params.fb0_ratio:.6g} {params.K_c:.6g} {params.viscosity:g}",
         "[COMPRESSION TABLE]",
     ]
-    lines += [f"{eps:.6g} {sigma:.6g}" for eps, sigma in curve.points]
+    lines += ["%.6g %.6g" % point for point in curve.points]
     lines += [
         "[TENSION]",
-        f"Gf {_fmt(params.G_f)}",
+        f"Gf {params.G_f:.6g}",
     ]
     return "\n".join(lines) + "\n"

@@ -17,6 +17,8 @@ import sys
 
 USAGE_ERROR = 2
 RATIO_ORIENTATION = "N_test/N_u"  # the ratio that batch statistics summarise
+# the OliveiraMode values, hyphenated; literal, so that building the parser loads no capacity code
+OLIVEIRA_MODES = ("as-printed", "corrected")
 
 
 def _run_config(settings: PredictionSettings, Ec_override: float | None) -> dict:
@@ -57,15 +59,13 @@ def _add_column_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
-    from .capacity import OliveiraMode
-
     g = parser.add_argument_group("formula settings")
     g.add_argument("--ke", type=float, default=0.6, help="EC4 concrete stiffness factor K_e")
     g.add_argument("--keff", type=float, default=1.0, help="effective length factor K")
     g.add_argument("--rcc", type=float, default=1.0, help="CISC C_fs/C_f ratio")
     g.add_argument(
         "--oliveira-mode",
-        choices=[m.value.replace("_", "-") for m in OliveiraMode],
+        choices=OLIVEIRA_MODES,
         default="as-printed",
         help="length factor above L/D=3: as published or continuous reading",
     )
@@ -104,10 +104,10 @@ def _build_column(args: argparse.Namespace) -> tuple[ColumnSpec, ConvertedStreng
 
 
 def _parse_methods(spec: str) -> tuple[MethodId, ...]:
-    from .capacity import MethodId, check_distinct
+    from .capacity import ALL_METHODS, MethodId, check_distinct
 
     if spec.strip().lower() == "all":
-        return tuple(MethodId)
+        return ALL_METHODS
     methods = []
     for token in spec.split(","):
         token = token.strip().lower()
@@ -311,7 +311,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 f"{rec.f_y:g}",
                 "" if rec.f_u is None else f"{rec.f_u:g}",
                 "" if rec.E_s is None else f"{rec.E_s:g}",
-                f"{rec.fc_measured:g}", rec.fc_kind.value,
+                f"{rec.fc_measured:g}", rec.fc_kind._value_,  # .value without the enum descriptor
                 "" if rec.d_max is None else f"{rec.d_max:g}",
                 f"{rec.N_test_kN:g}",
                 "" if row.f_c is None else f"{row.f_c:.4f}",

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .capacity import (
+    ALL_METHODS,
     DEFAULT_SETTINGS,
     CapacityPrediction,
     MethodId,
@@ -232,8 +233,9 @@ def _evaluate_row(
     except ArithmeticError as exc:  # finite inputs so large that a formula overflows
         error = f"{type(exc).__name__}: {exc}"
         return RowResult(index, record, None, None, record.defaulted, error, ())
+    # _value_ is the member's value as a plain attribute; .value goes through a descriptor
     return RowResult(
-        index, record, converted.f_c, converted.concrete_class.value,
+        index, record, converted.f_c, converted.concrete_class._value_,
         defaulted, None, predictions,
     )
 
@@ -329,7 +331,7 @@ def evaluate_dataset(
     twice raises ValueError.
     """
     if methods is None:
-        methods = tuple(MethodId)
+        methods = ALL_METHODS
     else:
         check_distinct(methods)
     rows = list(evaluate_rows(records, methods, settings, Ec_override))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .section import ColumnSpec, SteelMaterial, _require_finite
 
@@ -44,8 +44,7 @@ class StressStrainCurve:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SteelCurveParams:
+class SteelCurveParams(NamedTuple):
     """Breakpoints and hardening exponent of the steel curve.
 
     ``p`` is None when f_u == f_y, in which case the hardening stage
@@ -95,26 +94,37 @@ def steel_curve_params(steel: SteelMaterial) -> SteelCurveParams:
     return SteelCurveParams(eps_y, eps_p, eps_u, E_p, p, tuple(flags))
 
 
+def _raise(exc: Exception):
+    """Raise ``exc``; lets a kernel's comprehension reject a strain where it stands."""
+    raise exc
+
+
+_STEEL_NEGATIVE = "strain must be non-negative (use magnitude symmetry for compression)"
+_CONCRETE_NEGATIVE = "strain must be non-negative"
+
+
 def _steel_stresses(
     strains: Sequence[float], steel: SteelMaterial, params: SteelCurveParams
 ) -> list[float]:
-    """Steel stresses (MPa) along a strain sequence, the curve's constants taken once."""
+    """Steel stresses (MPa) along a strain sequence, the curve's constants taken once.
+
+    The yield plateau, where most of a response grid lies, is tested first;
+    its guard implies the plateau branch of the per-point stage chain, which
+    every other strain (NaN included) runs in order.
+    """
     E_s, f_y, f_u = steel.E_s, steel.f_y, steel.f_u
     eps_y, eps_p, eps_u, p = params.eps_y, params.eps_p, params.eps_u, params.p
     span, rise = eps_u - eps_p, f_u - f_y
-    stresses = []
-    for eps in strains:
-        if eps < 0:
-            raise ValueError("strain must be non-negative (use magnitude symmetry for compression)")
-        if eps <= eps_y:
-            stresses.append(E_s * eps)
-        elif eps <= eps_p or p is None:
-            stresses.append(f_y)
-        elif eps <= eps_u:
-            stresses.append(f_u - rise * ((eps_u - eps) / span) ** p)
-        else:
-            stresses.append(f_u)
-    return stresses
+    yielded = max(eps_y, 0.0)  # NaN when eps_y is, so that the guard never holds
+    return [
+        f_y if yielded < eps <= eps_p
+        else _raise(ValueError(_STEEL_NEGATIVE)) if eps < 0
+        else E_s * eps if eps <= eps_y
+        else f_y if eps <= eps_p or p is None
+        else f_u - rise * ((eps_u - eps) / span) ** p if eps <= eps_u
+        else f_u
+        for eps in strains
+    ]
 
 
 def steel_stress(eps: float, steel: SteelMaterial, params: SteelCurveParams) -> float:
@@ -174,8 +184,7 @@ def fracture_energy(f_c: float, d_max: float) -> float:
     return (0.00469 * d_max**2 - 0.5 * d_max + 26.0) * (f_c / 10.0) ** 0.7 * 1e-3
 
 
-@dataclass(frozen=True, slots=True)
-class CdpmParameterSet:
+class CdpmParameterSet(NamedTuple):
     """Concrete-damaged-plasticity inputs: psi (deg), eccentricity, f_b0/f_c, K_c, viscosity, G_f (N/mm)."""
 
     psi: float
@@ -255,8 +264,7 @@ def softening_params(xi_c: float) -> tuple[float, float]:
     return alpha, BETA_SOFTENING
 
 
-@dataclass(frozen=True, slots=True)
-class ConfinedConcreteParams:
+class ConfinedConcreteParams(NamedTuple):
     """Confined-curve parameters: strains, confining pressure, residual stress, softening shape."""
 
     eps_c0: float
@@ -297,26 +305,30 @@ def confined_concrete_params(
 def _concrete_stresses(
     strains: Sequence[float], f_c: float, E_c: float, params: ConfinedConcreteParams
 ) -> list[float]:
-    """Confined concrete stresses (MPa) along a strain sequence, the curve's constants taken once."""
+    """Confined concrete stresses (MPa) along a strain sequence, the curve's constants taken once.
+
+    Softening, where most of a response grid lies, is tested first; its
+    guard implies the softening branch of the per-point stage chain, which
+    every other strain runs in order.
+    """
     eps_c0, eps_cc, f_re = params.eps_c0, params.eps_cc, params.f_re
     alpha, beta = params.alpha, params.beta
     A = E_c * eps_c0 / f_c
     B = (A - 1.0) ** 2 / 0.55 - 1.0
     A_2, B_1, drop = A - 2.0, B + 1.0, f_c - f_re
-    stresses = []
-    for eps in strains:
-        if eps < 0:
-            raise ValueError("strain must be non-negative")
-        if eps == 0.0:
-            stresses.append(0.0)
-        elif eps <= eps_c0:
-            x = eps / eps_c0
-            stresses.append(f_c * (A * x + B * x * x) / (1.0 + A_2 * x + B_1 * x * x))
-        elif eps <= eps_cc:
-            stresses.append(f_c)
-        else:
-            stresses.append(f_re + drop * math.exp(-(((eps - eps_cc) / alpha) ** beta)))
-    return stresses
+    exp = math.exp
+    # softening is every strain that is not <= top (NaN included); 0.0 comes first
+    # so that max skips a NaN breakpoint, which bounds no stage
+    top = max(0.0, eps_c0, eps_cc)
+    return [
+        f_re + drop * exp(-(((eps - eps_cc) / alpha) ** beta)) if not eps <= top
+        else _raise(ValueError(_CONCRETE_NEGATIVE)) if eps < 0
+        else 0.0 if eps == 0.0
+        else f_c * (A * (x := eps / eps_c0) + B * x * x) / (1.0 + A_2 * x + B_1 * x * x)
+        if eps <= eps_c0
+        else f_c  # past eps_c0 but not past top: the plateau up to eps_cc
+        for eps in strains
+    ]
 
 
 def concrete_stress(eps: float, f_c: float, E_c: float, params: ConfinedConcreteParams) -> float:
@@ -349,18 +361,17 @@ def sample_grid(breakpoints: Sequence[float], eps_max: float, n: int) -> list[fl
     knots = sorted({0.0, eps_max} | {b for b in breakpoints if 0.0 < b < eps_max})
     extra = max(n - len(knots), 0)
     lengths = [b - a for a, b in zip(knots, knots[1:])]
-    total = eps_max
-    quotas = [extra * length / total for length in lengths]
+    quotas = [extra * length / eps_max for length in lengths]
     counts = [int(q) for q in quotas]
-    leftover = extra - sum(counts)
-    order = sorted(range(len(quotas)), key=lambda i: (counts[i] - quotas[i], i))
-    for i in order[:leftover]:
+    # the stages furthest below their quotas get one more sample each, ties in
+    # stage order (the sort is stable)
+    excess = [c - q for c, q in zip(counts, quotas)]
+    for i in sorted(range(len(excess)), key=excess.__getitem__)[:extra - sum(counts)]:
         counts[i] += 1
-    grid: list[float] = []
-    for (a, b), k in zip(zip(knots, knots[1:]), counts):
-        d, m = b - a, k + 1
-        grid.append(a)
-        grid += [a + d * j / m for j in range(1, m)]
+    # a stage from knot a, d long, with k interior samples: a + d*j/(k+1) for
+    # j = 0..k, where j = 0 gives the knot itself exactly
+    grid = [a + d * j / m for a, d, m in zip(knots, lengths, [k + 1 for k in counts])
+            for j in range(m)]
     grid.append(knots[-1])
     return grid
 

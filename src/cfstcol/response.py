@@ -10,7 +10,7 @@ the confinement-factor regressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .materials import (
     ConfinedConcreteParams,
@@ -23,8 +23,7 @@ from .materials import (
 from .section import ColumnSpec
 
 
-@dataclass(frozen=True, slots=True)
-class AxialResponse:
+class AxialResponse(NamedTuple):
     """Sampled axial response: (strain, load N) points plus peak and residual figures."""
 
     points: tuple[tuple[float, float], ...]
@@ -66,6 +65,7 @@ def response_curve(
     A_s, A_c = column.A_s, column.A_c
     steel = _steel_stresses(grid, column.steel, sparams)
     concrete = _concrete_stresses(grid, column.concrete.f_c, column.concrete.E_c, cparams)
-    points = tuple(zip(grid, [s * A_s + c * A_c for s, c in zip(steel, concrete)]))
-    best_load, best_eps = peak_load(points)
-    return AxialResponse(points, best_load, best_eps, points[-1][1])
+    loads = [s * A_s + c * A_c for s, c in zip(steel, concrete)]
+    # max keeps the first of equal loads, as peak_load does
+    best = max(loads)
+    return AxialResponse(tuple(zip(grid, loads)), best, grid[loads.index(best)], loads[-1])

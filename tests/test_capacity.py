@@ -30,7 +30,7 @@ from cfstcol import (
     predict_zhong_miao,
     proposed_factors,
 )
-from cfstcol.capacity import _METHODS, NON_PHYSICAL_CONFINED_STRESS, NON_PHYSICAL_LENGTH_FACTOR
+from cfstcol.capacity import _METHODS, ALL_METHODS, NON_PHYSICAL_CONFINED_STRESS, NON_PHYSICAL_LENGTH_FACTOR
 
 from conftest import build_column
 
@@ -502,7 +502,7 @@ PUBLIC_PREDICTORS = {
 
 class TestRegistry:
     def test_one_registration_per_method_in_declaration_order(self):
-        assert tuple(_METHODS) == tuple(MethodId)
+        assert tuple(_METHODS) == tuple(MethodId) == ALL_METHODS
 
     def test_registered_predictor_is_the_public_one(self):
         for method, predictor in PUBLIC_PREDICTORS.items():

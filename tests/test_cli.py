@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cfstcol import MethodId, evaluate_dataset, parse_dataset, predict
-from cfstcol.cli import _kN, build_parser, main
+from cfstcol import MethodId, OliveiraMode, evaluate_dataset, parse_dataset, predict
+from cfstcol.cli import OLIVEIRA_MODES, _kN, build_parser, main
 from cfstcol.dataset import CSV_HEADER
 
 from conftest import build_column
@@ -590,6 +590,11 @@ class TestUsage:
             flags = [a.option_strings[-1] for a in sub._actions if a.option_strings[-1] != "--help"]
             expected.append(f"- `{name}`: " + ", ".join(f"`{flag}`" for flag in flags))
         assert listed == expected
+
+    def test_oliveira_mode_choices_are_the_modes_hyphenated(self):
+        assert OLIVEIRA_MODES == tuple(m.value.replace("_", "-") for m in OliveiraMode)
+        for mode in OLIVEIRA_MODES:
+            assert main(["predict", *R1_ARGS, "--method", "de_oliveira", "--oliveira-mode", mode]) == 0
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -86,9 +86,11 @@ class TestImportGraph:
         (["predict", "--format", "json"], {"section", "capacity", "json"},
          {"materials", "cards", "response", "dataset", "csv"}),
         (["curve", "--material", "concrete"], {"section", "materials"},
-         {"cards", "response", "dataset", "csv", "json"}),
-        (["respond"], {"section", "materials", "response"}, {"cards", "dataset", "csv", "json"}),
-        (["cdpm"], {"section", "materials", "cards"}, {"response", "dataset", "csv", "json"}),
+         {"capacity", "cards", "response", "dataset", "csv", "json"}),
+        (["respond"], {"section", "materials", "response"},
+         {"capacity", "cards", "dataset", "csv", "json"}),
+        (["cdpm"], {"section", "materials", "cards"},
+         {"capacity", "response", "dataset", "csv", "json"}),
         (["batch"], {"section", "capacity", "dataset", "csv", "json"},
          {"materials", "cards", "response"}),
     ], ids=["predict", "predict-json", "curve", "respond", "cdpm", "batch"])

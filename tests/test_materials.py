@@ -1,9 +1,13 @@
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cfstcol import (
+    CdpmParameterSet,
+    ConfinedConcreteParams,
+    SteelCurveParams,
     SteelMaterial,
     biaxial_ratio,
     cdpm_parameters,
@@ -429,3 +433,91 @@ class TestStressKernels:
             _steel_stresses([0.0, 0.001, -1e-9, 0.002], STEEL_R1, sparams)
         with pytest.raises(ValueError, match="non-negative"):
             _concrete_stresses([0.0, 0.001, -1e-9, 0.002], 30.0, r1.concrete.E_c, cparams)
+
+
+class Steel(NamedTuple):
+    """The three constants the steel kernel reads, free of SteelMaterial's checks."""
+
+    f_y: float
+    f_u: float
+    E_s: float
+
+
+SPECIAL_STRAINS = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-9, 1e-300)
+any_float = st.floats()
+# the ascent's constants stay finite, so that the kernel's set-up cannot overflow
+# where the per-point reference never reaches the ascent
+bounded_strain = st.one_of(st.floats(-1e100, 1e100), st.sampled_from((math.nan, math.inf, -math.inf)))
+
+
+def strains_around(data, breakpoints):
+    """Strain sequences mixing arbitrary floats, the special values and each breakpoint's neighbours."""
+    near = [x for b in breakpoints for x in (b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf))]
+    return data.draw(st.lists(st.one_of(any_float, st.sampled_from(SPECIAL_STRAINS + tuple(near))),
+                              max_size=40))
+
+
+def image(value):
+    """Exact image of a float (sign of zero included) or of any other result."""
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def outcome(compute):
+    """The exact images of a computed sequence, or the type and message of what it raised."""
+    try:
+        return [image(v) for v in compute()]
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestStressKernelsArbitraryParams:
+    """The kernels against the per-point chain for parameters no column produces.
+
+    Breakpoints may be unordered, negative, zero or non-finite and ``p`` may be
+    None; strains may be NaN, infinite, signed zeros or negative.  Each result,
+    or the first exception raised along the sequence, must be the reference's.
+    """
+
+    @given(steel=st.builds(Steel, any_float, any_float, any_float),
+           params=st.builds(SteelCurveParams, any_float, any_float, any_float, any_float,
+                            st.one_of(st.none(), any_float)),
+           data=st.data())
+    def test_steel(self, steel, params, data):
+        strains = strains_around(data, (params.eps_y, params.eps_p, params.eps_u))
+        assert outcome(lambda: _steel_stresses(strains, steel, params)) == outcome(
+            lambda: [steel_stress_reference(e, steel, params) for e in strains])
+
+    @given(f_c=st.floats(0.5, 500.0), E_c=st.floats(1e3, 1e6),
+           params=st.builds(ConfinedConcreteParams, bounded_strain, any_float, any_float,
+                            any_float, any_float, any_float),
+           data=st.data())
+    def test_concrete(self, f_c, E_c, params, data):
+        strains = strains_around(data, (params.eps_c0, params.eps_cc))
+        assert outcome(lambda: _concrete_stresses(strains, f_c, E_c, params)) == outcome(
+            lambda: [concrete_stress_reference(e, f_c, E_c, params) for e in strains])
+
+    def test_nan_peak_strain_captures_no_strain(self):
+        # a NaN eps_c0 fails every comparison, so strains up to eps_cc stay on the plateau
+        params = ConfinedConcreteParams(math.nan, 1.0, 0.01, 5.0, 0.02, 1.2)
+        assert _concrete_stresses([0.0, 0.005, 0.01, 0.02], 30.0, 30_000.0, params)[:3] == [0.0, 30.0, 30.0]
+
+
+class TestRecords:
+    """The once-per-call records are plain NamedTuples with pinned field order."""
+
+    @pytest.mark.parametrize("record,fields", [
+        (SteelCurveParams, ("eps_y", "eps_p", "eps_u", "E_p", "p", "flags")),
+        (ConfinedConcreteParams, ("eps_c0", "f_r", "eps_cc", "f_re", "alpha", "beta", "flags")),
+        (CdpmParameterSet, ("psi", "ecc", "fb0_ratio", "K_c", "viscosity", "G_f")),
+    ])
+    def test_fields(self, record, fields):
+        assert issubclass(record, tuple)
+        assert record._fields == fields
+
+    def test_flags_default_empty(self):
+        assert SteelCurveParams(0.001, 0.01, 0.1, 4000.0, 3.0).flags == ()
+        assert ConfinedConcreteParams(0.002, 1.0, 0.003, 5.0, 0.02, 1.2).flags == ()
+
+    def test_degenerate_plateau(self):
+        assert SteelCurveParams(0.001, 0.01, 0.1, 4000.0, None).degenerate_plateau is True
+        assert SteelCurveParams(0.001, 0.01, 0.1, 4000.0, 3.0).degenerate_plateau is False

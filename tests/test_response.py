@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from cfstcol import (
+    AxialResponse,
     concrete_stress,
     confined_concrete_params,
     peak_load,
@@ -10,6 +12,7 @@ from cfstcol import (
 )
 
 from conftest import build_column
+from test_materials import _envelope
 
 approx = pytest.approx
 
@@ -46,6 +49,8 @@ class TestResponseCurve:
         # the plateau starts at eps_c0; ties resolve to the earliest strain
         response = response_curve(r1, 0.03, 200)
         assert response.peak_strain == approx(confined_concrete_params(r1).eps_c0, rel=1e-12)
+        assert [load for _, load in response.points].count(response.peak_load) > 1
+        assert (response.peak_load, response.peak_strain) == peak_load(response.points)
 
     def test_monotone_curve_peaks_at_end(self, r1):
         response = response_curve(r1, 0.0018, 32)
@@ -110,3 +115,21 @@ class TestPeakLoad:
     def test_monotone_returns_last(self):
         points = ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0))
         assert peak_load(points) == (2.0, 2.0)
+
+
+class TestResponsePeak:
+    """``response_curve`` reports the peak that ``peak_load`` finds on its own points."""
+
+    @given(D=_envelope("D"), dt=_envelope("D/t"), fy=_envelope("f_y"), fc=_envelope("f_c"),
+           hardening=st.one_of(st.none(), st.floats(1.0, 1.6)), unconfined=st.booleans(),
+           eps_max=st.floats(1e-4, 0.2), n=st.integers(8, 300))
+    def test_peak_equals_peak_load_of_points(self, D, dt, fy, fc, hardening, unconfined, eps_max, n):
+        column = build_column(D, D / dt, 3 * D, fy, fc, fu=None if hardening is None else fy * hardening)
+        cparams = confined_concrete_params(column, 0.0) if unconfined else None
+        response = response_curve(column, eps_max, n, concrete_params=cparams)
+        assert (response.peak_load, response.peak_strain) == peak_load(response.points)
+        assert response.residual_load == response.points[-1][1]
+
+    def test_fields(self):
+        assert issubclass(AxialResponse, tuple)
+        assert AxialResponse._fields == ("points", "peak_load", "peak_strain", "residual_load")
