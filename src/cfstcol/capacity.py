@@ -118,6 +118,14 @@ class ApplicabilityReport:
 
 _APPLICABLE = ApplicabilityReport(True, ())
 
+# How the gate makes its records, skipping the constructors' Python-level
+# __new__/__init__: a Violation is one tuple.__new__, and an inapplicable
+# report sets its two slots directly, consistent by construction.
+_new_tuple = tuple.__new__
+_new_object = object.__new__
+_set_applicable = ApplicabilityReport.applicable.__set__
+_set_violations = ApplicabilityReport.violations.__set__
+
 
 class CapacityPrediction(NamedTuple):
     """Predicted ultimate load (N) with gating, intermediates and diagnostics."""
@@ -160,14 +168,19 @@ _QUANTITY: dict[str, Callable[[ColumnSpec], float]] = {
     "xi": attrgetter("xi_c"),
 }
 
-# A limit: its printed text, the quantity it reads, and its inclusive lower
-# and upper bounds, infinite when absent; an upper bound may be a function of the column.
-_Bound = float | Callable[[ColumnSpec], float]
-_Limit = tuple[str, Callable[[ColumnSpec], float], float, _Bound]
+# A limit: its printed text, the quantity it reads, its inclusive lower and
+# upper bounds, infinite when absent, and the function of the column that gives
+# the upper bound instead, or None where the upper bound is a constant.
+_Quantity = Callable[[ColumnSpec], float]
+_Bound = float | _Quantity
+_Limit = tuple[str, _Quantity, float, float, _Quantity | None]
 
 
 def _limit(text: str, quantity: str, lo: float = -math.inf, hi: _Bound = math.inf) -> _Limit:
-    return (text, _QUANTITY[quantity], lo, hi)
+    # resolved once, here, so that the gate tests no bound with callable()
+    if callable(hi):
+        return (text, _QUANTITY[quantity], lo, math.nan, hi)  # the nan is never read
+    return (text, _QUANTITY[quantity], lo, hi, None)
 
 
 def check_applicability(method: MethodId, column: ColumnSpec) -> ApplicabilityReport:
@@ -182,16 +195,21 @@ def check_applicability(method: MethodId, column: ColumnSpec) -> ApplicabilityRe
     if not limits:
         return _APPLICABLE
     violations = []
-    for text, quantity, lo, hi in limits:
+    for text, quantity, lo, hi, upper in limits:
         value = quantity(column)
         if value < lo:
-            violations.append(Violation(text, lo, value))
+            violations.append(_new_tuple(Violation, (text, lo, value)))
         else:
-            if callable(hi):
-                hi = hi(column)
+            if upper is not None:
+                hi = upper(column)
             if value > hi:
-                violations.append(Violation(text, hi, value))
-    return ApplicabilityReport(False, tuple(violations)) if violations else _APPLICABLE
+                violations.append(_new_tuple(Violation, (text, hi, value)))
+    if not violations:
+        return _APPLICABLE
+    report = _new_object(ApplicabilityReport)
+    _set_applicable(report, False)
+    _set_violations(report, tuple(violations))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +238,10 @@ def _method(method: MethodId, *limits: _Limit) -> Callable[[_Formula], _Predicto
             column: ColumnSpec, settings: PredictionSettings = DEFAULT_SETTINGS
         ) -> CapacityPrediction:
             N, intermediates, diagnostics = formula(column, settings)
-            return CapacityPrediction(
+            # tuple.__new__ skips the NamedTuple's Python-level __new__; the fields are in order
+            return _new_tuple(CapacityPrediction, (
                 method, N, check_applicability(method, column), intermediates, diagnostics
-            )
+            ))
 
         predictor.__name__ = predictor.__qualname__ = formula.__name__
         predictor.__doc__ = formula.__doc__
@@ -259,13 +278,13 @@ def ec4_coefficients(
 @_method(MethodId.EC4, *_EC4_ACI_LIMITS)
 def predict_ec4(column: ColumnSpec, settings: PredictionSettings) -> _Result:
     """EC4 capacity with the confinement enhancement term on the concrete part."""
-    c = ec4_coefficients(column, settings)
+    lam, eta_a, eta_c4, N_pl_Rk, N_cr = ec4_coefficients(column, settings)
     f_y, f_c = column.steel.f_y, column.concrete.f_c
     D, t = column.section.D, column.section.t
-    N = c.eta_a * column.A_s * f_y + column.A_c * f_c * (
-        1.0 + c.eta_c_ec4 * (t * f_y) / (D * f_c)
-    )
-    return N, c._asdict(), ()
+    N = eta_a * column.A_s * f_y + column.A_c * f_c * (1.0 + eta_c4 * (t * f_y) / (D * f_c))
+    # Ec4Coefficients' fields in order
+    return N, {"lambda_bar": lam, "eta_a": eta_a, "eta_c_ec4": eta_c4,
+               "N_pl_Rk": N_pl_Rk, "N_cr": N_cr}, ()
 
 
 @_method(
@@ -527,10 +546,14 @@ def proposed_factors(column: ColumnSpec) -> ProposedFactors:
     )
 
 
+# DATABASE_ENVELOPE as (name, quantity, lo, hi), in its order
+_ENVELOPE = tuple((name, _QUANTITY[name], lo, hi) for name, (lo, hi) in DATABASE_ENVELOPE.items())
+
+
 def _envelope_flags(column: ColumnSpec) -> tuple[str, ...]:
     flags = []
-    for name, (lo, hi) in DATABASE_ENVELOPE.items():
-        value = _QUANTITY[name](column)
+    for name, quantity, lo, hi in _ENVELOPE:
+        value = quantity(column)
         if not lo <= value <= hi:
             flags.append(f"{name} = {value:g} outside calibration envelope [{lo:g}, {hi:g}]")
     return tuple(flags)
@@ -543,12 +566,9 @@ def predict_proposed(column: ColumnSpec, settings: PredictionSettings) -> _Resul
     Applicable for any column; excursions outside the calibration envelope
     are reported as diagnostics.
     """
-    factors = proposed_factors(column)
-    N = (
-        factors.eta_c * column.A_c * column.concrete.f_c
-        + factors.eta_s * column.A_s * column.steel.f_y
-    )
-    return N, factors._asdict(), _envelope_flags(column)
+    e_c, e_s = proposed_factors(column)
+    N = e_c * column.A_c * column.concrete.f_c + e_s * column.A_s * column.steel.f_y
+    return N, {"eta_c": e_c, "eta_s": e_s}, _envelope_flags(column)
 
 
 # ---------------------------------------------------------------------------

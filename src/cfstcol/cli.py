@@ -320,11 +320,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 (row.error or "").replace(",", ";"),
             ]
             diagnostics = []
-            for pred in row.predictions:
+            for method, N_u, report, _, diags in row.predictions:
                 # N_u / 1e3 at .1f is the _kN value at .1f, without the round() call
-                cells += [f"{pred.N_u / 1e3:.1f}", "true" if pred.applicability.applicable else "false"]
-                if pred.diagnostics:
-                    diagnostics += [f"{pred.method.value}: {d}" for d in pred.diagnostics]
+                cells += ["%.1f" % (N_u / 1e3), "true" if report.applicable else "false"]
+                if diags:
+                    diagnostics += [f"{method._value_}: {d}" for d in diags]
             if not row.predictions:
                 cells += ["", ""] * len(methods)
             cells.append(("; ".join(diagnostics)).replace(",", ";"))

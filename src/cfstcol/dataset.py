@@ -243,12 +243,20 @@ def _evaluate_row(
 def _sample_std(ratios: list[float]) -> float:
     """Sample STD (n-1) of finite floats, correctly rounded on every Python version.
 
-    The sums are exact integers over one power-of-two denominator; the root is
-    rounded to odd at 109 bits, then to a float, as in CPython 3.11's ``stdev``.
+    The sums are exact integers over one power-of-two denominator 2**k; the root
+    is rounded to odd at 109 bits, then to a float, as in CPython 3.11's ``stdev``.
     """
-    pairs = [x.as_integer_ratio() for x in ratios]
-    k = max(d for _, d in pairs).bit_length() - 1
-    xs = [p << (k + 1 - d.bit_length()) for p, d in pairs]
+    small = min(map(abs, ratios)) or min([abs(x) for x in ratios if x], default=1.0)
+    # no float of magnitude at least small has a bit below 2**(e - 53), e being small's exponent
+    k = max(0, 53 - math.frexp(small)[1])
+    if k < 1024 and math.frexp(max(map(abs, ratios)))[1] + k <= 1024:
+        # x * 2.0**k is an integer and finite, so the product is exact
+        scale = 2.0**k
+        xs = [int(x * scale) for x in ratios]
+    else:  # 2**k, or the largest ratio scaled by it, lies beyond the float range
+        pairs = [x.as_integer_ratio() for x in ratios]
+        k = max(d for _, d in pairs).bit_length() - 1
+        xs = [p << (k + 1 - d.bit_length()) for p, d in pairs]
     n, sx = len(xs), sum(xs)
     num = n * sum(x * x for x in xs) - sx * sx
     den = n * (n - 1) << 2 * k
@@ -285,12 +293,13 @@ class RatioStats:
         if row.error is not None:
             return
         N_test = row.record.N_test_kN
-        for i, pred in enumerate(row.predictions):
-            if pred.applicability.applicable:
-                self.n_applicable[i] += 1
-                if math.isfinite(pred.N_u) and pred.N_u != 0.0:
+        n_applicable = self.n_applicable
+        for i, (_, N_u, report, _, _) in enumerate(row.predictions):
+            if report.applicable:
+                n_applicable[i] += 1
+                if math.isfinite(N_u) and N_u != 0.0:
                     # both sides in kN so that N_test == N_u gives a ratio of exactly 1
-                    self.ratios[i].append(N_test / (pred.N_u / 1e3))
+                    self.ratios[i].append(N_test / (N_u / 1e3))
 
     def summaries(self) -> list[StatsSummary]:
         out = []

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfstcol import (
+    ApplicabilityReport,
     MethodId,
     OliveiraMode,
     PredictionSettings,
     SectionError,
+    Violation,
     check_applicability,
     ec4_coefficients,
     eta_c,
@@ -30,7 +32,13 @@ from cfstcol import (
     predict_zhong_miao,
     proposed_factors,
 )
-from cfstcol.capacity import _METHODS, ALL_METHODS, NON_PHYSICAL_CONFINED_STRESS, NON_PHYSICAL_LENGTH_FACTOR
+from cfstcol.capacity import (
+    _METHODS,
+    ALL_METHODS,
+    DATABASE_ENVELOPE,
+    NON_PHYSICAL_CONFINED_STRESS,
+    NON_PHYSICAL_LENGTH_FACTOR,
+)
 
 from conftest import build_column
 
@@ -459,6 +467,86 @@ class TestInclusiveBounds:
         outside = math.nextafter(bound, -math.inf if side == "lower" else math.inf)
         report = check_applicability(method, _column_at(quantity, outside))
         assert report.violations == ((limit, bound, outside),)
+
+
+def _printed_limits(column):
+    """Each method's published limits as printed, in printed order: (text, actual, lower, upper)."""
+    dt, ld, xi = column.dt_ratio, column.ld_ratio, column.xi_c
+    f_y, E_s, f_c = column.steel.f_y, column.steel.E_s, column.concrete.f_c
+    inf = math.inf
+    ec4_aci = [("D/t <= sqrt(8*Es/fy)", dt, -inf, math.sqrt(8.0 * E_s / f_y)),
+               ("f_c' >= 17.2 MPa", f_c, 17.2, inf)]
+    return {
+        MethodId.EC4: ec4_aci,
+        MethodId.AISC: [("D/t <= 0.15*Es/fy", dt, -inf, 0.15 * E_s / f_y),
+                        ("fy <= 525 MPa", f_y, -inf, 525.0),
+                        ("21 <= f_c' <= 70 MPa", f_c, 21.0, 70.0)],
+        MethodId.CISC: [],
+        MethodId.DBJ: [("D/t <= 150*235/fy", dt, -inf, 150.0 * 235.0 / f_y),
+                       ("235 <= fy <= 420 MPa", f_y, 235.0, 420.0),
+                       ("24 <= f_c' <= 70 MPa", f_c, 24.0, 70.0)],
+        MethodId.ACI: ec4_aci,
+        MethodId.OSHEA: [("D/t <= 200", dt, -inf, 200.0)],
+        MethodId.YU: [("235 <= fy <= 345 MPa", f_y, 235.0, 345.0),
+                      ("30 <= f_c' <= 60 MPa", f_c, 30.0, 60.0),
+                      ("0.2 <= xi <= 2", xi, 0.2, 2.0)],
+        MethodId.LIU: [],
+        MethodId.SUN: [],
+        MethodId.ZHONG_MIAO: [],
+        MethodId.GUO: [("xi <= 1.7", xi, -inf, 1.7)],
+        MethodId.DE_OLIVEIRA: [("1 <= L/D <= 10", ld, 1.0, 10.0)],
+        MethodId.PROPOSED: [],
+    }
+
+
+def _around_envelope(name, bounds=()):
+    """Values inside the calibration envelope, up to twice beyond it, and at printed bounds."""
+    lo, hi = DATABASE_ENVELOPE[name]
+    return st.one_of(st.floats(lo, hi), st.floats(lo / 2, hi * 2), st.sampled_from(bounds or (lo, hi)))
+
+
+@st.composite
+def _columns(draw):
+    D = draw(_around_envelope("D"))
+    dt = draw(_around_envelope("D/t", (10.1, 200.0)))
+    ld = draw(_around_envelope("L/D", (1.0, 10.0)))
+    f_y = draw(_around_envelope("f_y", (235.0, 345.0, 420.0, 525.0)))
+    f_c = draw(_around_envelope("f_c", (17.2, 21.0, 24.0, 30.0, 60.0, 70.0)))
+    E_s = draw(st.one_of(st.none(), st.floats(150_000.0, 220_000.0)))
+    return build_column(D, D / dt, D * ld, f_y, f_c, Es=E_s)
+
+
+class TestGate:
+    """``check_applicability`` against a plain re-evaluation of the printed limits."""
+
+    @given(column=_columns())
+    def test_reports_are_the_printed_limits_re_evaluated(self, column):
+        for method, limits in _printed_limits(column).items():
+            expected = tuple(
+                (text, lo if actual < lo else hi, actual)
+                for text, actual, lo, hi in limits
+                if not lo <= actual <= hi
+            )
+            report = check_applicability(method, column)
+            assert type(report) is ApplicabilityReport
+            assert report.violations == expected
+            assert all(type(v) is Violation for v in report.violations)
+            assert report.applicable == (not report.violations)
+            public = ApplicabilityReport(not expected, tuple(Violation(*v) for v in expected))
+            assert report == public and hash(report) == hash(public)
+            assert predict(column, method).applicability == report
+
+    def test_inapplicable_report_round_trips_through_pickle(self, make_column):
+        report = check_applicability(MethodId.YU, make_column(100, 5, 300, 600, 80))
+        assert not report.applicable
+        assert pickle.loads(pickle.dumps(report)) == report
+
+    def test_public_constructor_checks_applicable_against_violations(self):
+        v = Violation("fy <= 525 MPa", 525.0, 600.0)
+        with pytest.raises(ValueError, match="no violations"):
+            ApplicabilityReport(True, (v,))
+        with pytest.raises(ValueError, match="no violations"):
+            ApplicabilityReport(False, ())
 
 
 def test_readme_limits_list_matches_the_method_table():

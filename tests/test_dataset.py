@@ -3,6 +3,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cfstcol import (
     MethodId,
@@ -264,6 +265,17 @@ class TestEvaluate:
         assert math.isnan(s.mean) and math.isnan(s.std) and s.cov is None
 
 
+# ratios as a database gives them, zeros, every finite float (subnormals and
+# negatives included), and values near 2**-1000 and 2**1000
+_RATIO = st.one_of(
+    st.floats(0.5, 2.0),
+    st.just(0.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.floats(-2.0, 2.0), st.integers(-1074, -990)),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(990, 1023)),
+)
+
+
 class TestSampleStd:
     def test_correctly_rounded_literal(self):
         # statistics.stdev gives 0.2803121771644369 under Python 3.10; the
@@ -275,3 +287,34 @@ class TestSampleStd:
         assert _sample_std([0.1, 0.1, 0.1]) == 0.0
         assert _sample_std([2.0**-1000, 3 * 2.0**-1000]) == math.sqrt(2.0) * 2.0**-1000
         assert _sample_std([2.0**60, 2.0**60 + 2.0**9]) == math.sqrt(2.0) * 2.0**8
+
+    def test_zero_ratio_is_not_the_scale(self):
+        # a tiny Ntest_kN against a huge N_u gives a ratio of 0.0; the scale
+        # must come from the smallest nonzero ratio, or 1e-300 scales to 0
+        assert _sample_std([0.0, 1e-300, 2e-300]) == 1e-300
+
+    @given(ratios=st.one_of(st.lists(_RATIO, min_size=2, max_size=30),
+                            st.lists(st.floats(0.5, 2.0), min_size=2, max_size=30)))
+    @example(ratios=[0.0, 0.0])
+    @example(ratios=[0.0, -0.0, 5e-324])
+    @example(ratios=[5e-324, 1.0])  # 2**k itself beyond the float range
+    @example(ratios=[1e-10, 1e300])  # 2**k finite, the largest scaled ratio not
+    @example(ratios=[1e300, 1.5e300])  # every ratio an integer: no scaling at all
+    @example(ratios=[-1.7e308, 1.7e308])  # a STD beyond the float range
+    def test_matches_the_integer_ratio_oracle(self, ratios):
+        assert _sample_std(ratios) == _oracle_std(ratios)
+
+
+def _oracle_std(ratios):
+    """``_sample_std`` as first written: every ratio's integer ratio, shifted to one denominator."""
+    pairs = [x.as_integer_ratio() for x in ratios]
+    k = max(d for _, d in pairs).bit_length() - 1
+    xs = [p << (k + 1 - d.bit_length()) for p, d in pairs]
+    n, sx = len(xs), sum(xs)
+    num = n * sum(x * x for x in xs) - sx * sx
+    den = n * (n - 1) << 2 * k
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    num, den = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)
+    a = math.isqrt(num // den)
+    a |= a * a * den != num
+    return float(a) * 2.0**q if q >= 0 else a / (1 << -q)

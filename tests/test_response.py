@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -101,6 +103,19 @@ class TestResponseCurve:
             response_curve(r1, 0.0, 64)
         with pytest.raises(ValueError):
             response_curve(r1, 0.03, 7)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("alpha", -0.04, "alpha must be positive"),
+        ("eps_c0", math.nan, "eps_c0 must be finite"),
+        ("beta", 0.0, "beta must be positive"),
+        ("eps_cc", -1.0, "eps_cc must be at least eps_c0"),
+        ("eps_c0", 0.0, "eps_c0 must be positive"),
+        ("f_re", math.inf, "f_re must be finite"),
+    ])
+    def test_supplied_concrete_params_are_checked(self, r1, field, value, message):
+        params = confined_concrete_params(r1)
+        with pytest.raises(ValueError, match=message):
+            response_curve(r1, 0.03, 200, concrete_params=params._replace(**{field: value}))
 
 
 class TestPeakLoad:
