@@ -106,25 +106,20 @@ class Violation(NamedTuple):
     actual: float
 
 
-@dataclass(frozen=True, slots=True)
-class ApplicabilityReport:
-    applicable: bool
-    violations: tuple[Violation, ...]
+class ApplicabilityReport(NamedTuple):
+    """The failed limits of one method on one column; none means the method applies."""
 
-    def __post_init__(self) -> None:
-        if self.applicable != (len(self.violations) == 0):
-            raise ValueError("applicable must mean exactly: no violations")
+    violations: tuple[Violation, ...] = ()
+
+    @property
+    def applicable(self) -> bool:
+        return not self.violations
 
 
-_APPLICABLE = ApplicabilityReport(True, ())
+_APPLICABLE = ApplicabilityReport()
 
-# How the gate makes its records, skipping the constructors' Python-level
-# __new__/__init__: a Violation is one tuple.__new__, and an inapplicable
-# report sets its two slots directly, consistent by construction.
+# How the gate makes its records: tuple.__new__ skips a NamedTuple's Python-level __new__
 _new_tuple = tuple.__new__
-_new_object = object.__new__
-_set_applicable = ApplicabilityReport.applicable.__set__
-_set_violations = ApplicabilityReport.violations.__set__
 
 
 class CapacityPrediction(NamedTuple):
@@ -204,12 +199,7 @@ def check_applicability(method: MethodId, column: ColumnSpec) -> ApplicabilityRe
                 hi = upper(column)
             if value > hi:
                 violations.append(_new_tuple(Violation, (text, hi, value)))
-    if not violations:
-        return _APPLICABLE
-    report = _new_object(ApplicabilityReport)
-    _set_applicable(report, False)
-    _set_violations(report, tuple(violations))
-    return report
+    return _new_tuple(ApplicabilityReport, (tuple(violations),)) if violations else _APPLICABLE
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +228,7 @@ def _method(method: MethodId, *limits: _Limit) -> Callable[[_Formula], _Predicto
             column: ColumnSpec, settings: PredictionSettings = DEFAULT_SETTINGS
         ) -> CapacityPrediction:
             N, intermediates, diagnostics = formula(column, settings)
-            # tuple.__new__ skips the NamedTuple's Python-level __new__; the fields are in order
+            # built as the gate builds its records: tuple.__new__ over the fields in order
             return _new_tuple(CapacityPrediction, (
                 method, N, check_applicability(method, column), intermediates, diagnostics
             ))

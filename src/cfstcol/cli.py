@@ -276,7 +276,6 @@ def _cmd_respond(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     import os
-    from dataclasses import asdict
 
     from .dataset import RatioStats, evaluate_rows, parse_dataset
 
@@ -321,8 +320,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             ]
             diagnostics = []
             for method, N_u, report, _, diags in row.predictions:
-                # N_u / 1e3 at .1f is the _kN value at .1f, without the round() call
-                cells += ["%.1f" % (N_u / 1e3), "true" if report.applicable else "false"]
+                # N_u / 1e3 at .1f is the _kN value at .1f, without the round() call, and
+                # report.violations is report.applicable negated, without the property call
+                cells += ["%.1f" % (N_u / 1e3), "false" if report.violations else "true"]
                 if diags:
                     diagnostics += [f"{method._value_}: {d}" for d in diags]
             if not row.predictions:
@@ -334,7 +334,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             "methods": [m.value for m in methods],
             "n_rows": len(parsed.records),
             "row_errors": [{"line": e.line, "message": e.message} for e in parsed.errors],
-            "summaries": [{**asdict(s), "method": s.method.value} for s in stats.summaries()],
+            "summaries": [{**s._asdict(), "method": s.method.value} for s in stats.summaries()],
         }))
     return 0
 

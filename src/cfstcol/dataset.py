@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .capacity import (
@@ -81,8 +80,7 @@ class RowError(NamedTuple):
     message: str
 
 
-@dataclass(frozen=True, slots=True)
-class ParsedDataset:
+class ParsedDataset(NamedTuple):
     records: tuple[SpecimenRecord, ...]
     errors: tuple[RowError, ...]
 
@@ -202,8 +200,7 @@ class RowResult(NamedTuple):
     predictions: tuple[CapacityPrediction, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class StatsSummary:
+class StatsSummary(NamedTuple):
     """Mean/STD/CoV of N_test/N_u over the applicable rows of one method."""
 
     method: MethodId
@@ -295,11 +292,13 @@ class RatioStats:
         N_test = row.record.N_test_kN
         n_applicable = self.n_applicable
         for i, (_, N_u, report, _, _) in enumerate(row.predictions):
-            if report.applicable:
+            if not report.violations:  # report.applicable, without the property call
                 n_applicable[i] += 1
-                if math.isfinite(N_u) and N_u != 0.0:
-                    # both sides in kN so that N_test == N_u gives a ratio of exactly 1
-                    self.ratios[i].append(N_test / (N_u / 1e3))
+                # both sides in kN so that N_test == N_u gives a ratio of exactly 1; a load
+                # below 1e-320 N is 0.0 in kN and, like a zero load, gives no ratio
+                N_u_kN = N_u / 1e3
+                if math.isfinite(N_u_kN) and N_u_kN != 0.0:
+                    self.ratios[i].append(N_test / N_u_kN)
 
     def summaries(self) -> list[StatsSummary]:
         out = []

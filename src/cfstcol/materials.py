@@ -282,7 +282,8 @@ def confined_concrete_params(
     """Assemble the confined-curve parameters for a column.
 
     ``f_r_override`` substitutes the confining pressure (e.g. 0 to study the
-    unconfined limit) while the rest of the chain is recomputed from it.
+    unconfined limit) while the rest of the chain is recomputed from it; a
+    negative or non-finite one raises ValueError.
     """
     f_c = column.concrete.f_c
     flags = list(column.concrete.validity_flags)
@@ -291,6 +292,7 @@ def confined_concrete_params(
         flags.append(f"peak-strain regression fitted for f_c in [{lo:g}, {hi:g}] MPa")
     eps_c0 = peak_strain_unconfined(f_c)
     if f_r_override is not None:
+        _require_finite(f_r_override=f_r_override)
         if f_r_override < 0:
             raise ValueError("f_r override must be non-negative")
         f_r = f_r_override

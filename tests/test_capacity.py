@@ -531,22 +531,29 @@ class TestGate:
             assert type(report) is ApplicabilityReport
             assert report.violations == expected
             assert all(type(v) is Violation for v in report.violations)
-            assert report.applicable == (not report.violations)
-            public = ApplicabilityReport(not expected, tuple(Violation(*v) for v in expected))
+            assert report.applicable == (not report.violations) == (not expected)
+            public = ApplicabilityReport(expected)
             assert report == public and hash(report) == hash(public)
             assert predict(column, method).applicability == report
+
+    def test_in_limit_column_gets_the_empty_report(self, r1):
+        report = check_applicability(MethodId.EC4, r1)
+        assert report == ApplicabilityReport() == ApplicabilityReport(())
+        assert report.applicable and report.violations == ()
 
     def test_inapplicable_report_round_trips_through_pickle(self, make_column):
         report = check_applicability(MethodId.YU, make_column(100, 5, 300, 600, 80))
         assert not report.applicable
         assert pickle.loads(pickle.dumps(report)) == report
 
-    def test_public_constructor_checks_applicable_against_violations(self):
-        v = Violation("fy <= 525 MPa", 525.0, 600.0)
-        with pytest.raises(ValueError, match="no violations"):
-            ApplicabilityReport(True, (v,))
-        with pytest.raises(ValueError, match="no violations"):
-            ApplicabilityReport(False, ())
+    def test_applicable_is_derived_from_the_violations_alone(self):
+        assert ApplicabilityReport._fields == ("violations",)
+        report = ApplicabilityReport((Violation("fy <= 525 MPa", 525.0, 600.0),))
+        assert not report.applicable
+        with pytest.raises(AttributeError):
+            report.applicable = True
+        with pytest.raises(AttributeError):
+            ApplicabilityReport().applicable = False
 
 
 def test_readme_limits_list_matches_the_method_table():

@@ -553,6 +553,19 @@ class TestSummaryBeyondFloatRange:
         s = _strict_json(text)["summaries"][0]
         assert math.isfinite(s["mean"]) and s["std"] is None
 
+    def test_load_that_underflows_in_kn_gives_no_ratio(self, capsys, tmp_path):
+        # Liu's load here is about 1.9e-321 N: finite and nonzero, but 0.0 in kN
+        row = "a,100,5,300,300,,,30,,,700"
+        text = _batch_summary(capsys, tmp_path, [row, "b,3e-162,3e-163,3e-162,300,,,30,,,700", row],
+                              "liu")
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert [line.split(",")[1] for line in lines[1:]] == ["a", "b", "a"]
+        s = _strict_json(text)["summaries"][0]
+        (expected,) = evaluate_dataset(parse_dataset(",".join(CSV_HEADER) + f"\n{row}\n").records,
+                                       (MethodId.LIU,))[1]
+        assert (s["n_applicable"], s["n_total"]) == (3, 3)
+        assert s["mean"] == expected.mean and s["std"] == 0.0
+
 
 # flags that these subcommands would not read: each is a usage error
 REMOVED_FLAGS = [pytest.param(command, flag, value, id=f"{command[0]} {flag}")

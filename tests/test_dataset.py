@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import random
@@ -5,11 +6,16 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+import cfstcol
 from cfstcol import (
+    ApplicabilityReport,
     MethodId,
+    ParsedDataset,
     RowError,
     SpecimenKind,
     SpecimenRecord,
+    StatsSummary,
+    Violation,
     column_from_record,
     ec4_coefficients,
     evaluate_dataset,
@@ -263,6 +269,36 @@ class TestEvaluate:
         s = summaries[0]
         assert s.n_applicable == 3
         assert math.isnan(s.mean) and math.isnan(s.std) and s.cov is None
+
+    def test_load_that_underflows_in_kn_counts_as_applicable_without_a_ratio(self):
+        tiny = record(D=3e-162, t=3e-163, L=3e-162)
+        (pred,) = predict_all(column_from_record(tiny)[0], (MethodId.LIU,))
+        assert 0.0 < pred.N_u < 1e-320 and pred.N_u / 1e3 == 0.0
+        _, (s,) = evaluate_dataset([record(), tiny, record()], (MethodId.LIU,))
+        (alone,) = evaluate_dataset([record()], (MethodId.LIU,))[1]
+        assert (s.n_applicable, s.n_total) == (3, 3)
+        assert s.mean == alone.mean and s.std == 0.0
+
+
+class TestRecordRule:
+    """A public type that validates is a dataclass; every other record is a NamedTuple."""
+
+    def test_every_public_dataclass_validates(self):
+        types = [getattr(cfstcol, name) for name in cfstcol.__all__]
+        dataclass_types = [t for t in types if isinstance(t, type) and dataclasses.is_dataclass(t)]
+        assert dataclass_types
+        for t in dataclass_types:
+            assert "__post_init__" in vars(t), t.__name__
+
+    def test_plain_records_are_tuples_that_round_trip_through_pickle(self):
+        report = ApplicabilityReport((Violation("fy <= 525 MPa", 525.0, 600.0),))
+        _, (summary,) = evaluate_dataset([record(), record(ntest=800.0)], (MethodId.ACI,))
+        parsed = parse_dataset(HEADER + "\nok,100,5,300,300,,,30,,,650\nbad,1\n")
+        for value in (report, ApplicabilityReport(), summary, parsed):
+            assert isinstance(value, tuple) and not dataclasses.is_dataclass(value)
+            assert pickle.loads(pickle.dumps(value)) == value
+        assert type(summary) is StatsSummary and type(parsed) is ParsedDataset
+        assert len(parsed.records) == len(parsed.errors) == 1
 
 
 # ratios as a database gives them, zeros, every finite float (subnormals and

@@ -22,9 +22,9 @@ PLATEAU_LOAD = 638528.706842  # fy*A_s + fc*A_c for the reference column
 INITIAL_TANGENT = 462220938.767  # Es*A_s + Ec*A_c
 
 
-def axial_load(column, eps):
+def axial_load(column, eps, f_r_override=None):
     sparams = steel_curve_params(column.steel)
-    cparams = confined_concrete_params(column)
+    cparams = confined_concrete_params(column, f_r_override)
     return (
         steel_stress(eps, column.steel, sparams) * column.A_s
         + concrete_stress(eps, column.concrete.f_c, column.concrete.E_c, cparams) * column.A_c
@@ -94,8 +94,7 @@ class TestResponseCurve:
             for dt in (15, 40, 100):
                 column = build_column(200, 200 / dt, 600, fy, 30)
                 confined = response_curve(column, 0.03, 100).peak_load
-                free = confined_concrete_params(column, f_r_override=0.0)
-                unconfined = response_curve(column, 0.03, 100, concrete_params=free).peak_load
+                unconfined = response_curve(column, 0.03, 100, f_r_override=0.0).peak_load
                 assert unconfined <= confined * (1 + 1e-12)
 
     def test_argument_validation(self, r1):
@@ -104,18 +103,21 @@ class TestResponseCurve:
         with pytest.raises(ValueError):
             response_curve(r1, 0.03, 7)
 
-    @pytest.mark.parametrize("field,value,message", [
-        ("alpha", -0.04, "alpha must be positive"),
-        ("eps_c0", math.nan, "eps_c0 must be finite"),
-        ("beta", 0.0, "beta must be positive"),
-        ("eps_cc", -1.0, "eps_cc must be at least eps_c0"),
-        ("eps_c0", 0.0, "eps_c0 must be positive"),
-        ("f_re", math.inf, "f_re must be finite"),
+    @pytest.mark.parametrize("value,message", [
+        (math.nan, "f_r_override must be finite"),
+        (math.inf, "f_r_override must be finite"),
+        (-math.inf, "f_r_override must be finite"),
+        (-1.0, "f_r override must be non-negative"),
     ])
-    def test_supplied_concrete_params_are_checked(self, r1, field, value, message):
-        params = confined_concrete_params(r1)
+    def test_confining_pressure_override_is_checked(self, r1, value, message):
         with pytest.raises(ValueError, match=message):
-            response_curve(r1, 0.03, 200, concrete_params=params._replace(**{field: value}))
+            confined_concrete_params(r1, f_r_override=value)
+        with pytest.raises(ValueError, match=message):
+            response_curve(r1, 0.03, 200, f_r_override=value)
+
+    def test_override_gives_the_curve_of_its_parameters(self, r1):
+        for eps, load in response_curve(r1, 0.03, 200, f_r_override=0.0).points:
+            assert load == approx(axial_load(r1, eps, f_r_override=0.0), rel=1e-12, abs=1e-9)
 
 
 class TestPeakLoad:
@@ -140,8 +142,7 @@ class TestResponsePeak:
            eps_max=st.floats(1e-4, 0.2), n=st.integers(8, 300))
     def test_peak_equals_peak_load_of_points(self, D, dt, fy, fc, hardening, unconfined, eps_max, n):
         column = build_column(D, D / dt, 3 * D, fy, fc, fu=None if hardening is None else fy * hardening)
-        cparams = confined_concrete_params(column, 0.0) if unconfined else None
-        response = response_curve(column, eps_max, n, concrete_params=cparams)
+        response = response_curve(column, eps_max, n, f_r_override=0.0 if unconfined else None)
         assert (response.peak_load, response.peak_strain) == peak_load(response.points)
         assert response.residual_load == response.points[-1][1]
 
