@@ -20,13 +20,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .section import (
-    ColumnSpec,
-    ConcreteClass,
-    _require_finite,
-    classify_concrete,
-    section_second_moments,
-)
+from .section import ColumnSpec, ConcreteClass, _require_finite, classify_concrete
 
 # Parameter envelope of the test database the superposition factors were
 # calibrated on; the formula stays applicable outside it but flags the excursion.
@@ -42,6 +36,7 @@ DBJ_FCK_FACTOR = 0.67  # DBJ cube-to-characteristic strength factor
 
 NON_PHYSICAL_CONFINED_STRESS = "NON_PHYSICAL_CONFINED_STRESS"
 NON_PHYSICAL_LENGTH_FACTOR = "NON_PHYSICAL_LENGTH_FACTOR"
+ARITHMETIC_ERROR = "ARITHMETIC_ERROR"  # a formula overflowed or divided by zero: N_u is nan
 
 
 class MethodId(Enum):
@@ -220,14 +215,19 @@ def _method(method: MethodId, *limits: _Limit) -> Callable[[_Formula], _Predicto
     """Register a formula ``(column, settings) -> (N, intermediates, diagnostics)``.
 
     The formula is replaced by its public predictor: the only code that gates
-    a load by its method's limits and builds the CapacityPrediction.
+    a load by its method's limits and builds the CapacityPrediction.  A formula
+    that raises ArithmeticError gives N = nan and one ARITHMETIC_ERROR diagnostic.
     """
 
     def register(formula: _Formula) -> _Predictor:
         def predictor(
             column: ColumnSpec, settings: PredictionSettings = DEFAULT_SETTINGS
         ) -> CapacityPrediction:
-            N, intermediates, diagnostics = formula(column, settings)
+            try:
+                N, intermediates, diagnostics = formula(column, settings)
+            except ArithmeticError as exc:  # finite inputs so large or small that the formula fails
+                N, intermediates = math.nan, {}
+                diagnostics = (f"{ARITHMETIC_ERROR}: {type(exc).__name__}: {exc}",)
             # built as the gate builds its records: tuple.__new__ over the fields in order
             return _new_tuple(CapacityPrediction, (
                 method, N, check_applicability(method, column), intermediates, diagnostics
@@ -255,8 +255,7 @@ def ec4_coefficients(
     column: ColumnSpec, settings: PredictionSettings = DEFAULT_SETTINGS
 ) -> Ec4Coefficients:
     """Relative slenderness and the (clamped) EC4 coefficients for a column."""
-    I_s, I_c = section_second_moments(column.section)
-    EI_eff = column.steel.E_s * I_s + settings.K_e * column.concrete.E_c * I_c
+    EI_eff = column.steel.E_s * column.I_s + settings.K_e * column.concrete.E_c * column.I_c
     N_cr = math.pi**2 * EI_eff / (settings.K * column.section.L) ** 2
     N_pl_Rk = column.steel.f_y * column.A_s + 0.85 * column.concrete.f_c * column.A_c
     lam = math.sqrt(N_pl_Rk / N_cr)
@@ -297,8 +296,7 @@ def predict_aisc(column: ColumnSpec, settings: PredictionSettings) -> _Result:
     A_s, A_c = column.A_s, column.A_c
     P_0 = 0.95 * f_c * A_c + f_y * A_s
     C_3 = 0.6 + 2.0 * (A_s / (A_s + A_c))
-    I_s, I_c = section_second_moments(column.section)
-    EI_eff = column.steel.E_s * I_s + C_3 * column.concrete.E_c * I_c
+    EI_eff = column.steel.E_s * column.I_s + C_3 * column.concrete.E_c * column.I_c
     P_e = math.pi**2 * EI_eff / (settings.K * column.section.L) ** 2
     if P_e >= 0.44 * P_0:
         N = P_0 * 0.658 ** (P_0 / P_e)
@@ -325,8 +323,7 @@ def predict_cisc(column: ColumnSpec, settings: PredictionSettings) -> _Result:
         tau = 1.0
         tau_p = 1.0
     base = tau * A_s * f_y + tau_p * 0.85 * A_c * f_c
-    I_s, I_c = section_second_moments(column.section)
-    EI = column.steel.E_s * I_s + 0.6 * column.concrete.E_c * I_c / settings.r_cc
+    EI = column.steel.E_s * column.I_s + 0.6 * column.concrete.E_c * column.I_c / settings.r_cc
     lam = math.sqrt(base / (math.pi**2 * EI / (settings.K * column.section.L) ** 2))
     N = base * (1.0 + lam**3.6) ** -0.556
     return N, {"rho": rho, "tau": tau, "tau_prime": tau_p, "lambda": lam}, ()
@@ -452,10 +449,8 @@ def predict_liu(column: ColumnSpec, settings: PredictionSettings) -> _Result:
 
 @_method(MethodId.SUN)
 def predict_sun(column: ColumnSpec, settings: PredictionSettings) -> _Result:
-    """Sun confined strength over the core; singular at D/t = 2."""
+    """Sun confined strength over the core; singular at D/t = 2, which D > 2t excludes."""
     dt = column.dt_ratio
-    if dt <= 2.0:
-        raise ValueError("D/t must exceed 2 (formula singular at D/t = 2)")
     f_y, f_c = column.steel.f_y, column.concrete.f_c
     f_cc = f_c * (1.0 + 8.2 * ((dt - 1.0) * f_y) / ((dt - 2.0) ** 2 * f_c))
     return f_cc * column.A_c, {"f_cc": f_cc}, ()

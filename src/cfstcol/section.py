@@ -184,27 +184,31 @@ class CircularSection:
 
 
 def section_areas(section: CircularSection) -> tuple[float, float]:
-    """Steel annulus area and concrete core area (mm^2)."""
-    inner = section.D - 2.0 * section.t
-    A_c = math.pi / 4.0 * inner * inner
-    A_s = math.pi / 4.0 * (section.D * section.D - inner * inner)
-    return A_s, A_c
+    """Steel annulus area pi*t*(D - t) and concrete core area pi/4*d*d (mm^2), d = D - 2t.
+
+    The annulus is a product, not the difference of two discs, so no bits cancel.
+    """
+    D, t = section.D, section.t
+    d = D - 2.0 * t
+    return math.pi * t * (D - t), math.pi / 4.0 * d * d
 
 
 def section_second_moments(section: CircularSection) -> tuple[float, float]:
-    """Second moments of area I_s, I_c (mm^4) of the steel annulus and concrete core."""
-    inner = section.D - 2.0 * section.t
-    I_c = math.pi / 64.0 * inner**4
-    I_s = math.pi / 64.0 * (section.D**4 - inner**4)
-    return I_s, I_c
+    """Second moments I_s = pi/16*t*(D - t)*(D^2 + d^2) and I_c = pi/64*d^4 (mm^4), d = D - 2t.
+
+    Products, not powers: no bits cancel, and a huge section gets inf, not OverflowError.
+    """
+    D, t = section.D, section.t
+    d = D - 2.0 * t
+    return math.pi / 16.0 * t * (D - t) * (D * D + d * d), math.pi / 64.0 * ((d * d) * (d * d))
 
 
 def confinement_factor(A_s: float, f_y: float, A_c: float, f_c: float) -> float:
     """Confinement factor xi_c = (A_s*f_y)/(A_c*f_c)."""
     if A_s < 0 or f_y < 0:
         raise ValueError("A_s and f_y must be non-negative")
-    if A_c <= 0 or f_c <= 0:
-        raise ValueError("A_c and f_c must be positive")
+    if A_c <= 0 or f_c <= 0 or A_c * f_c == 0.0:  # two tiny positives may underflow to 0
+        raise ValueError(f"A_c*f_c must be positive, got A_c={A_c:g} and f_c={f_c:g}")
     return (A_s * f_y) / (A_c * f_c)
 
 
@@ -302,9 +306,9 @@ class ConcreteMaterial:
 class ColumnSpec:
     """One circular CFST column: geometry plus steel and core concrete.
 
-    The derived geometry (areas, D/t, L/D, steel-to-concrete area ratio
-    alpha_s = A_s/A_c and confinement factor xi_c) is computed once at
-    construction; it takes no part in equality or repr.
+    The derived geometry (areas A_s, A_c, second moments I_s, I_c, D/t, L/D,
+    area ratio alpha_s = A_s/A_c, confinement factor xi_c) is computed once at
+    construction and takes no part in equality or repr; an inf moment gives lambda = 0.
     """
 
     section: CircularSection
@@ -312,6 +316,8 @@ class ColumnSpec:
     concrete: ConcreteMaterial
     A_s: float = field(init=False, repr=False, compare=False)
     A_c: float = field(init=False, repr=False, compare=False)
+    I_s: float = field(init=False, repr=False, compare=False)
+    I_c: float = field(init=False, repr=False, compare=False)
     dt_ratio: float = field(init=False, repr=False, compare=False)
     ld_ratio: float = field(init=False, repr=False, compare=False)
     alpha_s: float = field(init=False, repr=False, compare=False)
@@ -326,6 +332,9 @@ class ColumnSpec:
         set_field = object.__setattr__
         set_field(self, "A_s", A_s)
         set_field(self, "A_c", A_c)
+        I_s, I_c = section_second_moments(section)
+        set_field(self, "I_s", I_s)
+        set_field(self, "I_c", I_c)
         set_field(self, "dt_ratio", section.D / section.t)
         set_field(self, "ld_ratio", section.L / section.D)
         set_field(self, "alpha_s", A_s / A_c)

@@ -18,6 +18,7 @@ from cfstcol import (
     eta_s,
     predict,
     predict_aci,
+    predict_all,
     predict_aisc,
     predict_cisc,
     predict_dbj,
@@ -35,6 +36,7 @@ from cfstcol import (
 from cfstcol.capacity import (
     _METHODS,
     ALL_METHODS,
+    ARITHMETIC_ERROR,
     DATABASE_ENVELOPE,
     NON_PHYSICAL_CONFINED_STRESS,
     NON_PHYSICAL_LENGTH_FACTOR,
@@ -610,6 +612,59 @@ class TestRegistry:
             assert predict(column, method, settings) == predictor(column, settings)
         for method in (MethodId.EC4, MethodId.AISC, MethodId.CISC, MethodId.DE_OLIVEIRA):
             assert predict(column, method, settings).N_u != predict(column, method).N_u
+
+
+class TestArithmeticFailure:
+    """A formula that overflows reports nan and a diagnostic for its method alone."""
+
+    SLENDER = (MethodId.EC4, MethodId.AISC, MethodId.CISC)
+
+    def test_overflow_is_isolated_to_its_method(self):
+        column = build_column(100, 5, 1e200, 300, 30)  # (K*L)**2 overflows
+        for pred in predict_all(column):
+            if pred.method in self.SLENDER:
+                assert math.isnan(pred.N_u) and pred.intermediates == {}
+                assert pred.diagnostics == (
+                    f"{ARITHMETIC_ERROR}: OverflowError: (34, 'Numerical result out of range')",)
+            else:
+                assert math.isfinite(pred.N_u) and ARITHMETIC_ERROR not in str(pred.diagnostics)
+            assert pred.applicability == check_applicability(pred.method, column)
+
+    def test_gate_report_kept_on_failure(self):
+        pred = predict_ec4(build_column(100, 5, 1e200, 300, 15))
+        assert math.isnan(pred.N_u)
+        assert [v.limit for v in pred.applicability.violations] == ["f_c' >= 17.2 MPa"]
+
+    @given(D=st.floats(1e-300, 1e300), t_frac=st.floats(1e-17, 0.4999),
+           L=st.floats(1e-300, 1e300), f_y=st.floats(1e-300, 1e300), f_c=st.floats(1e-300, 1e300))
+    def test_every_finite_column_is_refused_or_gets_thirteen_predictions(
+            self, D, t_frac, L, f_y, f_c):
+        try:
+            column = build_column(D, D * t_frac, L, f_y, f_c)
+        except ValueError:
+            return
+        assert len(predict_all(column)) == 13
+
+    def test_division_by_a_vanishing_moment_is_a_diagnostic(self):
+        # every second moment underflows to 0, so N_cr = 0 and N_pl_Rk/N_cr divides by zero
+        column = build_column(1e-100, 1e-101, 1e-100, 300, 30)
+        assert column.I_s == column.I_c == 0.0
+        pred = predict_ec4(column)
+        assert math.isnan(pred.N_u)
+        assert pred.diagnostics[0].startswith(f"{ARITHMETIC_ERROR}: ZeroDivisionError")
+
+
+class TestSlendernessReadsTheColumn:
+    """EC4, AISC and CISC take I_s and I_c from the column record, not from the section."""
+
+    def test_infinite_moments_give_zero_slenderness(self, r1):
+        stiff = build_column(100, 5, 300, 300, 30, fu=450, Es=200_000)
+        object.__setattr__(stiff, "I_s", math.inf)
+        object.__setattr__(stiff, "I_c", math.inf)
+        assert ec4_coefficients(stiff).lambda_bar == 0.0
+        assert predict_cisc(stiff).intermediates["lambda"] == 0.0
+        assert predict_aisc(stiff).N_u == predict_aisc(stiff).intermediates["P_0"]
+        assert predict_aisc(r1).N_u < predict_aisc(stiff).N_u
 
 
 class TestMethodId:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cfstcol import MethodId, OliveiraMode, evaluate_dataset, parse_dataset, predict
+from cfstcol.capacity import ARITHMETIC_ERROR
 from cfstcol.cli import OLIVEIRA_MODES, _kN, build_parser, main
 from cfstcol.dataset import CSV_HEADER
 
@@ -452,28 +453,47 @@ class TestNonFiniteInputs:
 
 
 class TestHugeFiniteInputs:
-    """Finite inputs large enough to overflow are usage or row errors, never a traceback."""
+    """Huge finite inputs are usage errors or one method's nan, never a traceback."""
 
     HUGE = ["--t", "1", "--L", "300", "--fy", "300", "--fc", "30"]
+    LONG = ["--D", "100", "--t", "5", "--L", "1e200", "--fy", "300", "--fc", "30"]
+    SLENDER = ("ec4", "aisc", "cisc")  # (K*L)**2 overflows in each of them
 
-    def test_predict_overflowing_second_moment_exits_2(self, capsys):
-        code, out, err = run(capsys, ["predict", "--D", "1e100", *self.HUGE])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "OverflowError" in err
+    @pytest.mark.parametrize("D", ["1e80", "1e100"])
+    def test_predict_huge_second_moment_gives_every_load(self, capsys, D):
+        code, out, err = run(capsys, ["predict", "--D", D, *self.HUGE, "--format", "json"])
+        assert code == 0, err
+        loads = [p["Nu_kN"] for p in _strict_json(out)["predictions"]]
+        assert len(loads) == 13 and all(isinstance(n, float) and math.isfinite(n) for n in loads)
 
     @pytest.mark.parametrize("method", ["all", "aci"])
     def test_predict_non_finite_areas_exit_2(self, capsys, method):
         code, out, err = run(capsys, ["predict", "--D", "1e200", *self.HUGE, "--method", method])
         assert code == 2
         assert out == ""
-        assert "error: A_s must be finite" in err
+        assert "error: A_c must be finite" in err
 
-    def test_batch_writes_every_row_and_the_overflowing_one_carries_the_error(
-            self, capsys, tmp_path):
+    def test_predict_overflowing_formula_reports_nan_for_its_method_only(self, capsys):
+        code, out, err = run(capsys, ["predict", *self.LONG, "--format", "json"])
+        assert code == 0, err
+        by_method = {p["method"]: p for p in _strict_json(out)["predictions"]}
+        for method, p in by_method.items():
+            if method in self.SLENDER:
+                assert p["Nu_kN"] is None and p["intermediates"] == {}
+                assert p["diagnostics"] == [
+                    f"{ARITHMETIC_ERROR}: OverflowError: (34, 'Numerical result out of range')"]
+            else:
+                assert math.isfinite(p["Nu_kN"])
+        code, out, _ = run(capsys, ["predict", *self.LONG])
+        assert code == 0
+        for line in out.splitlines()[1:]:
+            if line.split()[0] in self.SLENDER:
+                assert line.split()[1] == "nan" and ARITHMETIC_ERROR in line
+
+    def test_batch_row_whose_formula_overflows_keeps_every_other_load(self, capsys, tmp_path):
         text = ",".join(CSV_HEADER) + "\n" + \
             "first,100,5,300,300,450,200000,30,CYL150,20,650\n" + \
-            "huge,1e100,1,300,300,450,200000,30,CYL150,20,650\n" + \
+            "long,100,5,1e200,300,,,30,,,650\n" + \
             "last,100,5,300,300,450,200000,30,CYL150,20,650\n"
         source = tmp_path / "huge.csv"
         source.write_text(text)
@@ -484,15 +504,41 @@ class TestHugeFiniteInputs:
         lines = rows_out.read_text().splitlines()
         header = lines[0].split(",")
         rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-        assert [r["source_id"] for r in rows] == ["first", "huge", "last"]
+        assert [r["source_id"] for r in rows] == ["first", "long", "last"]
         assert all(len(line.split(",")) == len(header) for line in lines)
-        assert rows[0]["error"] == rows[2]["error"] == ""
-        assert rows[1]["error"].startswith("OverflowError")
-        assert rows[1]["Nu_ec4_kN"] == "" and rows[2]["Nu_ec4_kN"] != ""
+        assert all(r["error"] == "" for r in rows)
+        loads = {m.value: rows[1][f"Nu_{m.value}_kN"] for m in MethodId}
+        assert sorted(m for m, n in loads.items() if n == "nan") == sorted(self.SLENDER)
+        assert sum(math.isfinite(float(n)) for n in loads.values()) == 10
+        for method in self.SLENDER:
+            assert f"{method}: {ARITHMETIC_ERROR}: OverflowError" in rows[1]["diagnostics"]
         summary = _strict_json(summary_out.read_text())
         assert summary["n_rows"] == 3
         assert all(s["n_total"] == 3 for s in summary["summaries"])
-        assert next(s for s in summary["summaries"] if s["method"] == "aci")["n_applicable"] == 2
+        by_method = {s["method"]: s for s in summary["summaries"]}
+        # the row passes CISC's gate but gives it no ratio; ACI's takes all three
+        assert by_method["cisc"]["n_applicable"] == 3 and by_method["cisc"]["std"] == 0.0
+        assert by_method["aci"]["n_applicable"] == 3
+
+    def test_batch_row_whose_core_force_underflows_is_a_row_error(self, capsys, tmp_path):
+        source = tmp_path / "tiny.csv"
+        source.write_text(",".join(CSV_HEADER) + "\n" + "ok,100,5,300,300,,,30,,,650\n"
+                          "tiny,1e-100,1e-101,1,300,,,1e-250,,,650\n"
+                          "last,100,5,300,300,,,30,,,650\n")
+        rows_out = tmp_path / "rows.csv"
+        code, _, err = run(capsys, ["batch", "--input", str(source), "--method", "aci",
+                                    "--out", str(rows_out), "--summary-out", str(tmp_path / "s.json")])
+        assert code == 0, err
+        rows = rows_out.read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["ok", "tiny", "last"]
+        assert "A_c*f_c must be positive" in rows[1]
+
+    def test_respond_overflow_is_still_a_usage_error(self, capsys):
+        code, out, err = run(capsys, ["respond", "--D", "100", "--t", "5", "--L", "300",
+                                      "--fy", "300", "--fc", "1e-70"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: OverflowError")
 
 
 def _batch_summary(capsys, tmp_path, rows, method):

@@ -279,6 +279,19 @@ class TestEvaluate:
         assert (s.n_applicable, s.n_total) == (3, 3)
         assert s.mean == alone.mean and s.std == 0.0
 
+    def test_overflowing_formula_leaves_the_row_and_other_methods_intact(self):
+        long = record(D=100.0, L=1e200)
+        rows, summaries = evaluate_dataset([record(), long, record(ntest=800.0)])
+        assert rows[1].error is None and rows[1].f_c == 30.0
+        loads = {p.method: p.N_u for p in rows[1].predictions}
+        failed = {m for m, N in loads.items() if math.isnan(N)}
+        assert failed == {MethodId.EC4, MethodId.AISC, MethodId.CISC}
+        assert all(math.isfinite(N) for m, N in loads.items() if m not in failed)
+        by_method = {s.method: s for s in summaries}
+        cisc = evaluate_dataset([record(), record(ntest=800.0)], (MethodId.CISC,))[1][0]
+        assert by_method[MethodId.CISC].n_applicable == 3
+        assert (by_method[MethodId.CISC].mean, by_method[MethodId.CISC].std) == (cisc.mean, cisc.std)
+
 
 class TestRecordRule:
     """A public type that validates is a dataclass; every other record is a NamedTuple."""

@@ -318,8 +318,8 @@ class TestNonFiniteRejected:
 
 class TestHugeFiniteColumn:
     def test_non_finite_derived_areas_rejected(self):
-        # D*D overflows: A_s = inf - inf is NaN and A_c is infinite
-        with pytest.raises(ValueError, match="A_s must be finite"):
+        # d*d overflows, so A_c is infinite; A_s = pi*t*(D - t) stays finite
+        with pytest.raises(ValueError, match="A_c must be finite"):
             ColumnSpec(CircularSection(1e200, 1.0, 300.0), SteelMaterial(300.0),
                        ConcreteMaterial(30.0))
 
@@ -328,6 +328,50 @@ class TestHugeFiniteColumn:
         column = ColumnSpec(CircularSection(1e150, 1e149, 300.0), SteelMaterial(300.0),
                             ConcreteMaterial(30.0))
         assert math.isinf(column.A_s * column.A_c * column.xi_c)
+
+    @pytest.mark.parametrize("D", [1e80, 1e100, 1e150])
+    def test_moments_overflow_to_inf_not_an_error(self, D):
+        column = ColumnSpec(CircularSection(D, 1.0, 300.0), SteelMaterial(300.0),
+                            ConcreteMaterial(30.0))
+        assert math.isinf(column.I_c)
+        assert column.A_s == math.pi * (D - 1.0) and column.xi_c > 0.0
+
+    def test_core_force_that_underflows_is_a_value_error(self):
+        # A_c*f_c = 7.1e-202 * 1e-250 is 0.0: xi_c would divide by zero
+        with pytest.raises(ValueError, match="A_c\\*f_c must be positive"):
+            ColumnSpec(CircularSection(1e-100, 1e-101, 1.0), SteelMaterial(300.0),
+                       ConcreteMaterial(1e-250))
+
+
+class TestFactoredGeometry:
+    """A_s, A_c, I_s and I_c come from products of t, D - t and d = D - 2t: no cancellation."""
+
+    @pytest.mark.parametrize("exponent", range(1, 18))
+    @pytest.mark.parametrize("t", [1.0, 3.7, 0.01])
+    def test_steel_area_exact_for_any_slenderness(self, exponent, t):
+        D = 3.0 * t if exponent == 1 else 10.0**exponent * t  # D/t = 3 .. 1e17
+        A_s, A_c = section_areas(CircularSection(D, t, 300.0))
+        assert A_s == math.pi * t * (D - t)
+        assert A_c == math.pi / 4.0 * (D - 2.0 * t) * (D - 2.0 * t)
+
+    @pytest.mark.parametrize("D,t", [(100.0, 5.0), (1e12, 1.0), (1e17, 1.0), (3.0, 1.0)])
+    def test_second_moments_are_the_factored_forms(self, D, t):
+        d = D - 2.0 * t
+        I_s, I_c = section_second_moments(CircularSection(D, t, 300.0))
+        assert I_s == math.pi / 16.0 * t * (D - t) * (D * D + d * d)
+        assert I_c == math.pi / 64.0 * ((d * d) * (d * d))
+
+    def test_thin_wall_steel_area_is_not_cancelled(self):
+        # the difference of squares pi/4*(D*D - d*d) loses every bit here
+        A_s, _ = section_areas(CircularSection(1e17, 1.0, 300.0))
+        assert A_s == approx(math.pi * 1e17, rel=1e-15)
+        I_s, I_c = section_second_moments(CircularSection(1e17, 1.0, 300.0))
+        assert I_s == approx(math.pi / 8.0 * 1e17**3, rel=1e-15)
+        assert I_c == approx(math.pi / 64.0 * 1e17**4, rel=1e-15)
+
+    def test_column_holds_the_section_functions_moments(self, r1):
+        assert (r1.I_s, r1.I_c) == section_second_moments(r1.section)
+        assert r1.I_s + r1.I_c == approx(math.pi / 64 * 100**4, rel=1e-12)
 
 
 class TestColumnSpec:
@@ -347,6 +391,19 @@ class TestColumnSpec:
         assert column.ld_ratio == 600.0 / 219.1
         assert column.alpha_s == A_s / A_c
         assert column.xi_c == confinement_factor(A_s, 355.0, A_c, 47.5)
+
+    def test_second_moments_excluded_from_eq_and_repr(self, r1):
+        twin = ColumnSpec(r1.section, r1.steel, r1.concrete)
+        object.__setattr__(twin, "I_s", -1.0)
+        object.__setattr__(twin, "I_c", -1.0)
+        assert twin == r1
+        assert "I_s" not in repr(r1) and "I_c" not in repr(r1)
+        assert pickle.loads(pickle.dumps(r1)).I_c == r1.I_c
+
+    def test_replace_recomputes_second_moments(self, r1):
+        wider = dataclasses.replace(r1, section=CircularSection(200.0, 5.0, 300.0))
+        assert (wider.I_s, wider.I_c) == section_second_moments(wider.section)
+        assert wider.I_c > r1.I_c
 
     def test_derived_fields_excluded_from_eq_and_repr(self, r1):
         twin = ColumnSpec(r1.section, r1.steel, r1.concrete)
