@@ -155,6 +155,12 @@ def _kN(newtons: float) -> float:
     return round(newtons / 1e3, 1)
 
 
+def _cell(value: float, spec: str = "%.1f") -> str:
+    """``spec % value`` below 1e16 in magnitude; beyond, where every float is an integer,
+    the repr, which reads back exactly in at most 24 characters (nan and inf as before)."""
+    return spec % value if -1e16 < value < 1e16 else repr(value)
+
+
 def _violations_text(pred: CapacityPrediction) -> str:
     return "; ".join(
         f"{v.limit} (actual {v.actual:.4g})" for v in pred.applicability.violations
@@ -211,7 +217,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             viols = _violations_text(p).replace('"', "'")
             diags = "; ".join(p.diagnostics).replace('"', "'")
             lines.append(
-                f'{p.method.value},{_kN(p.N_u):.1f},{str(p.applicability.applicable).lower()},"{viols}","{diags}"'
+                f'{p.method.value},{_cell(_kN(p.N_u))},{str(p.applicability.applicable).lower()},"{viols}","{diags}"'
             )
     else:
         lines.append(f"{'method':<12} {'Nu_kN':>10}  {'applicable':<10} notes")
@@ -225,7 +231,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
                     " ".join(f"{k}={v:.4g}" for k, v in p.intermediates.items())
                 )
             mark = "yes" if p.applicability.applicable else "no"
-            lines.append(f"{p.method.value:<12} {_kN(p.N_u):>10.1f}  {mark:<10} {' | '.join(notes)}")
+            lines.append(f"{p.method.value:<12} {_cell(_kN(p.N_u)):>10}  {mark:<10} {' | '.join(notes)}")
         if column.defaulted:
             lines.append(f"defaulted inputs: {', '.join(column.defaulted)}")
         for flag in column.validity_flags:
@@ -265,10 +271,10 @@ def _cmd_respond(args: argparse.Namespace) -> int:
     column, _ = _build_column(args)
     response = response_curve(column, args.eps_max, args.n)
     lines = ["strain,N_kN"]
-    lines.extend(f"{eps:.10g},{load / 1e3:.1f}" for eps, load in response.points)
+    lines.extend(f"{eps:.10g},{_cell(load / 1e3)}" for eps, load in response.points)
     _write("\n".join(lines) + "\n", args.out)
     print(
-        f"peak {_kN(response.peak_load):.1f} kN at strain {response.peak_strain:.6g}",
+        f"peak {_cell(_kN(response.peak_load))} kN at strain {response.peak_strain:.6g}",
         file=sys.stderr,
     )
     return 0
@@ -313,16 +319,17 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 f"{rec.fc_measured:g}", rec.fc_kind._value_,  # .value without the enum descriptor
                 "" if rec.d_max is None else f"{rec.d_max:g}",
                 f"{rec.N_test_kN:g}",
-                "" if row.f_c is None else f"{row.f_c:.4f}",
+                "" if row.f_c is None else _cell(row.f_c, "%.4f"),
                 row.concrete_class or "",
                 ";".join(row.defaulted),
                 (row.error or "").replace(",", ";"),
             ]
             diagnostics = []
             for method, N_u, report, _, diags in row.predictions:
-                # N_u / 1e3 at .1f is the _kN value at .1f, without the round() call, and
-                # report.violations is report.applicable negated, without the property call
-                cells += ["%.1f" % (N_u / 1e3), "false" if report.violations else "true"]
+                # _cell(N_u / 1e3) is _cell(_kN(N_u)), and report.violations is
+                # report.applicable negated, both written out to save calls per load
+                N_u /= 1e3
+                cells += ["%.1f" % N_u if -1e16 < N_u < 1e16 else repr(N_u), "false" if report.violations else "true"]
                 if diags:
                     diagnostics += [f"{method._value_}: {d}" for d in diags]
             if not row.predictions:

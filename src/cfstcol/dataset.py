@@ -8,8 +8,8 @@ documented default"):
 Evaluation runs the requested predictors per row and summarises the
 test-to-prediction ratios N_test/N_u per method (arithmetic mean, sample
 standard deviation, coefficient of variation) over the rows that pass the
-method's applicability limits.  The STD is correctly rounded from exact
-sums, so every Python version gives the same bits.
+method's applicability limits.  The mean and STD are read off one set of
+exact integer sums, so every Python version gives the same bits.
 """
 
 from __future__ import annotations
@@ -233,12 +233,17 @@ def _evaluate_row(
     )
 
 
-def _sample_std(ratios: list[float]) -> float:
-    """Sample STD (n-1) of finite floats, correctly rounded on every Python version.
+def _moments(ratios: list[float]) -> tuple[float, float | None]:
+    """Mean and sample STD (n-1; None for one ratio) from one set of exact integer sums.
 
-    The sums are exact integers over one power-of-two denominator 2**k; the root
-    is rounded to odd at 109 bits, then to a float, as in CPython 3.11's ``stdev``.
+    The mean is the exact sum rounded once, then divided by n; the STD's root is rounded
+    to odd at 109 bits, then to a float, as in CPython 3.11's ``stdev``.
     """
+    n = len(ratios)
+    if not math.isfinite(sum(ratios)):
+        special = [x for x in ratios if not math.isfinite(x)]
+        if special:  # one infinity is the mean; infinities of both signs, or a nan, give nan
+            return sum(special), math.nan if n >= 2 else None
     small = min(map(abs, ratios)) or min([abs(x) for x in ratios if x], default=1.0)
     # no float of magnitude at least small has a bit below 2**(e - 53), e being small's exponent
     k = max(0, 53 - math.frexp(small)[1])
@@ -250,7 +255,14 @@ def _sample_std(ratios: list[float]) -> float:
         pairs = [x.as_integer_ratio() for x in ratios]
         k = max(d for _, d in pairs).bit_length() - 1
         xs = [p << (k + 1 - d.bit_length()) for p, d in pairs]
-    n, sx = len(xs), sum(xs)
+    sx = sum(xs)
+    try:  # an int-by-int quotient is correctly rounded
+        mean = sx / (1 << k) / n
+    except OverflowError:  # the sum is beyond the float range, the mean is not
+        j = n.bit_length() + 1
+        mean = math.ldexp(sx / (1 << (k + j)) / n, j)
+    if n < 2:
+        return mean, None
     num = n * sum(x * x for x in xs) - sx * sx
     den = n * (n - 1) << 2 * k
     q = (num.bit_length() - den.bit_length() - 109) // 2
@@ -258,18 +270,7 @@ def _sample_std(ratios: list[float]) -> float:
     a = math.isqrt(num // den)
     a |= a * a * den != num
     # one rounding of a, then an exact power-of-two scale that overflows to inf, not an error
-    return float(a) * 2.0**q if q >= 0 else a / (1 << -q)
-
-
-def _mean(ratios: list[float]) -> float:
-    """``fsum(ratios)/n``, also where the exact sum lies beyond the float range."""
-    try:
-        return math.fsum(ratios) / len(ratios)
-    except OverflowError:  # scaling by a power of two keeps every bit of the mean
-        k = len(ratios).bit_length() + 1
-        return math.ldexp(_mean([math.ldexp(r, -k) for r in ratios]), k)
-    except ValueError:  # infinite ratios of both signs
-        return math.nan
+    return mean, float(a) * 2.0**q if q >= 0 else a / (1 << -q)
 
 
 class RatioStats:
@@ -301,10 +302,8 @@ class RatioStats:
         for method, n_applicable, ratios in zip(self.methods, self.n_applicable, self.ratios):
             mean = std = cov = None
             if ratios:
-                mean = _mean(ratios)
-                if len(ratios) >= 2:
-                    # a ratio that overflows to infinity makes the mean non-finite
-                    std = _sample_std(ratios) if math.isfinite(mean) else math.nan
+                mean, std = _moments(ratios)
+                if std is not None:
                     cov = std / mean if mean > 0 else None
             out.append(StatsSummary(method, n_applicable, self.n_total, mean, std, cov))
         return out

@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cfstcol import MethodId, OliveiraMode, evaluate_dataset, parse_dataset, predict
+from cfstcol import MethodId, OliveiraMode, evaluate_dataset, parse_dataset, predict, response_curve
 from cfstcol.capacity import ARITHMETIC_ERROR
-from cfstcol.cli import OLIVEIRA_MODES, _kN, build_parser, main
+from cfstcol.cli import OLIVEIRA_MODES, _cell, _kN, build_parser, main
 from cfstcol.dataset import CSV_HEADER
 
 from conftest import build_column
@@ -539,6 +539,74 @@ class TestHugeFiniteInputs:
         assert code == 2
         assert out == ""
         assert err.startswith("error: OverflowError")
+
+
+class TestHugeValueCells:
+    """From 1e16 on, a load or strength cell is the float's repr, not a 300-digit fixed point."""
+
+    HUGE = ["--D", "1e80", "--t", "1", "--L", "300", "--fy", "300", "--fc", "30"]
+
+    @pytest.mark.parametrize("value, spec, text", [
+        (123.45, "%.1f", "123.5"), (-0.04, "%.1f", "-0.0"), (9999999999999998.0, "%.1f",
+         "9999999999999998.0"), (1e16, "%.1f", "1e+16"), (-2.5e300, "%.4f", "-2.5e+300"),
+        (-1.7976931348623157e308, "%.1f", "-1.7976931348623157e+308"),
+        (math.nan, "%.1f", "nan"), (math.inf, "%.4f", "inf"), (-math.inf, "%.1f", "-inf"),
+    ])
+    def test_rule(self, value, spec, text):
+        assert _cell(value, spec) == text
+
+    def test_predict_table_and_csv(self, capsys):
+        code, out, err = run(capsys, ["predict", *self.HUGE, "--method", "aci", "--format", "json"])
+        assert code == 0, err
+        (pred,) = _strict_json(out)["predictions"]
+        assert pred["Nu_kN"] > 1e16
+        code, out, _ = run(capsys, ["predict", *self.HUGE, "--method", "aci"])
+        assert code == 0
+        assert out.splitlines()[1].split()[1] == repr(pred["Nu_kN"])
+        assert len(out.splitlines()[1]) < 100  # 222 characters when written at .1f
+        code, out, _ = run(capsys, ["predict", *self.HUGE, "--method", "aci", "--format", "csv"])
+        assert code == 0
+        (row,) = [line for line in out.splitlines() if line.startswith("aci,")]
+        assert row.split(",")[1] == repr(pred["Nu_kN"])
+
+    @given(st.floats())
+    @example(9999999999999998.0 * 1e3)
+    @example(1e19)
+    def test_batch_load_cell_matches_the_rounded_kn_cell(self, newtons):
+        # the batch row loop writes the cell of N_u / 1e3 instead of that of _kN(N_u)
+        assert _cell(newtons / 1e3) == _cell(_kN(newtons))
+
+    def test_respond_cells_and_peak_line(self, capsys):
+        code, out, err = run(capsys, ["respond", *self.HUGE])
+        assert code == 0, err
+        response = response_curve(build_column(1e80, 1.0, 300.0, 300.0, 30.0), 0.03)
+        cells = [line.split(",")[1] for line in out.splitlines()[1:]]
+        assert cells == [_cell(load / 1e3) for _, load in response.points]
+        assert max(map(len, cells)) <= 24 and "e+" in cells[-1]
+        assert float(cells[-1]) == response.points[-1][1] / 1e3
+        assert err == (f"peak {round(response.peak_load / 1e3, 1)!r} kN at strain "
+                       f"{response.peak_strain:.6g}\n")
+
+    def test_batch_load_and_strength_cells(self, capsys, tmp_path):
+        text = ",".join(CSV_HEADER) + "\nbig,100,5,300,300,,,1e300,,,650\nr1,100,5,300,300,,,30,,,650\n"
+        source = tmp_path / "big.csv"
+        source.write_text(text)
+        rows_out = tmp_path / "rows.csv"
+        code, _, err = run(capsys, ["batch", "--input", str(source), "--method", "aci,proposed",
+                                    "--out", str(rows_out), "--summary-out", str(tmp_path / "s.json")])
+        assert code == 0, err
+        lines = rows_out.read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        methods = (MethodId.ACI, MethodId.PROPOSED)
+        expected, _ = evaluate_dataset(parse_dataset(text).records, methods)
+        for row, result in zip(rows, expected):
+            assert row["fc_MPa"] == _cell(result.f_c, "%.4f")
+            for m, p in zip(methods, result.predictions):
+                assert row[f"Nu_{m.value}_kN"] == _cell(p.N_u / 1e3)
+        assert rows[0]["fc_MPa"] == repr(expected[0].f_c) and rows[1]["fc_MPa"] == "30.0000"
+        assert rows[0]["Nu_aci_kN"] == repr(expected[0].predictions[0].N_u / 1e3)
+        assert max(map(len, lines)) < 300
 
 
 def _batch_summary(capsys, tmp_path, rows, method):

@@ -2,9 +2,10 @@ import dataclasses
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import cfstcol
 from cfstcol import (
@@ -24,7 +25,7 @@ from cfstcol import (
     predict_all,
     proposed_factors,
 )
-from cfstcol.dataset import CSV_HEADER, _sample_std
+from cfstcol.dataset import CSV_HEADER, _moments
 
 approx = pytest.approx
 
@@ -329,18 +330,18 @@ class TestSampleStd:
     def test_correctly_rounded_literal(self):
         # statistics.stdev gives 0.2803121771644369 under Python 3.10; the
         # correctly rounded value (3.11+) is one unit in the last place above
-        assert _sample_std([0.789, 1.461, 1.039, 1.178]) == 0.28031217716443696
+        assert _moments([0.789, 1.461, 1.039, 1.178])[1] == 0.28031217716443696
 
     def test_exact_variances(self):
-        assert _sample_std([1.0, 3.0]) == math.sqrt(2.0)
-        assert _sample_std([0.1, 0.1, 0.1]) == 0.0
-        assert _sample_std([2.0**-1000, 3 * 2.0**-1000]) == math.sqrt(2.0) * 2.0**-1000
-        assert _sample_std([2.0**60, 2.0**60 + 2.0**9]) == math.sqrt(2.0) * 2.0**8
+        assert _moments([1.0, 3.0])[1] == math.sqrt(2.0)
+        assert _moments([0.1, 0.1, 0.1])[1] == 0.0
+        assert _moments([2.0**-1000, 3 * 2.0**-1000])[1] == math.sqrt(2.0) * 2.0**-1000
+        assert _moments([2.0**60, 2.0**60 + 2.0**9])[1] == math.sqrt(2.0) * 2.0**8
 
     def test_zero_ratio_is_not_the_scale(self):
         # a tiny Ntest_kN against a huge N_u gives a ratio of 0.0; the scale
         # must come from the smallest nonzero ratio, or 1e-300 scales to 0
-        assert _sample_std([0.0, 1e-300, 2e-300]) == 1e-300
+        assert _moments([0.0, 1e-300, 2e-300])[1] == 1e-300
 
     @given(ratios=st.one_of(st.lists(_RATIO, min_size=2, max_size=30),
                             st.lists(st.floats(0.5, 2.0), min_size=2, max_size=30)))
@@ -351,11 +352,59 @@ class TestSampleStd:
     @example(ratios=[1e300, 1.5e300])  # every ratio an integer: no scaling at all
     @example(ratios=[-1.7e308, 1.7e308])  # a STD beyond the float range
     def test_matches_the_integer_ratio_oracle(self, ratios):
-        assert _sample_std(ratios) == _oracle_std(ratios)
+        assert _moments(ratios)[1] == _oracle_std(ratios)
+
+
+class TestMean:
+    """The mean read off the STD's integer sums has the bits of ``fsum(r)/n``."""
+
+    def test_literal(self):
+        ratios = [0.789, 1.461, 1.039, 1.178]
+        assert _moments(ratios)[0] == math.fsum(ratios) / 4
+        assert _moments([0.1] * 10)[0] == 0.1 and _moments([2.5]) == (2.5, None)
+
+    @given(ratios=st.one_of(st.lists(_RATIO, min_size=1, max_size=30),
+                            st.lists(st.floats(0.5, 2.0), min_size=1, max_size=30)))
+    @example(ratios=[0.0, -0.0])
+    @example(ratios=[5e-324, 1.0, -1.0])  # an exact sum below the normal range
+    @example(ratios=[1e300, 1e-300])
+    def test_matches_fsum_where_the_sum_is_a_float(self, ratios):
+        try:
+            expected = math.fsum(ratios) / len(ratios)
+        except OverflowError:
+            assume(False)
+        assert _moments(ratios)[0] == expected
+
+    @given(ratios=st.lists(st.one_of(_RATIO, st.floats(1e307, 1.7976931348623157e308)),
+                           min_size=2, max_size=30))
+    # the sum is exactly half-way between two floats of 2**-3 of it but for 5e-324, which
+    # a float rescale by 2**-3 drops: only exact integer sums round it up
+    @example(ratios=[math.ldexp(2**53 - 3, 971), 2.0**1023, 5e-324])
+    @example(ratios=[-1.7e308, -1.7e308])
+    def test_matches_the_rescaled_fraction_where_the_sum_overflows(self, ratios):
+        n = len(ratios)
+        assume(abs(sum(map(Fraction, ratios))) >= 2**1024)
+        j = n.bit_length() + 1
+        expected = math.ldexp(float(sum(map(Fraction, ratios)) / 2**j) / n, j)
+        assert _moments(ratios)[0] == expected
+
+    @pytest.mark.parametrize("ratios, mean, std", [
+        ([1.0, math.inf], math.inf, math.nan),
+        ([math.inf], math.inf, None),
+        ([-math.inf, 1.0, -math.inf], -math.inf, math.nan),
+        ([math.inf, 1.0, -math.inf], math.nan, math.nan),
+        ([1.0, math.nan], math.nan, math.nan),
+        ([math.nan], math.nan, None),
+        ([1.7e308, 1.7e308, math.inf], math.inf, math.nan),
+    ])
+    def test_non_finite_ratios(self, ratios, mean, std):
+        got_mean, got_std = _moments(ratios)
+        assert got_mean == mean or math.isnan(got_mean) and math.isnan(mean)
+        assert got_std is std or math.isnan(got_std) and math.isnan(std)
 
 
 def _oracle_std(ratios):
-    """``_sample_std`` as first written: every ratio's integer ratio, shifted to one denominator."""
+    """The STD as first written: every ratio's integer ratio, shifted to one denominator."""
     pairs = [x.as_integer_ratio() for x in ratios]
     k = max(d for _, d in pairs).bit_length() - 1
     xs = [p << (k + 1 - d.bit_length()) for p, d in pairs]
