@@ -20,7 +20,8 @@ from enum import Enum
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .section import ColumnSpec, ConcreteClass, _require_finite, classify_concrete
+from .section import (_CONVERSION_FACTORS, ColumnSpec, ConcreteClass, SpecimenKind,
+                      _require_finite, classify_concrete)
 
 # Parameter envelope of the test database the superposition factors were
 # calibrated on; the formula stays applicable outside it but flags the excursion.
@@ -339,26 +340,20 @@ def predict_dbj(column: ColumnSpec, settings: PredictionSettings) -> _Result:
     """DBJ composite strength f_sc = f_ck*(1.14 + 1.02*xi) over the gross area.
 
     f_ck is recovered as DBJ_FCK_FACTOR * f_cu150, back-converting the
-    cylinder strength with the class factor (0.88 NSC, 0.98 HSC).  UHSC has
-    no published cube factor; the HSC factor is extrapolated under a
-    diagnostic so the load is still reported.
+    cylinder strength with the class's 150 mm cube factor of the strength
+    conversion table.  UHSC has no published cube factor; the HSC factor is
+    extrapolated under a diagnostic so the load is still reported.
     """
     f_y, f_c = column.steel.f_y, column.concrete.f_c
     klass = classify_concrete(f_c)
-    diagnostics = []
-    if klass is ConcreteClass.NSC:
-        f_cu150 = f_c / 0.88
-    elif klass is ConcreteClass.HSC:
-        f_cu150 = f_c / 0.98
-    else:
-        f_cu150 = f_c / 0.98
-        diagnostics.append(
-            "cube conversion undefined for UHSC; HSC factor 0.98 extrapolated for f_ck"
-        )
-    f_ck = DBJ_FCK_FACTOR * f_cu150
+    uhsc = klass is ConcreteClass.UHSC
+    factor = _CONVERSION_FACTORS[ConcreteClass.HSC if uhsc else klass][SpecimenKind.CUBE150]
+    diagnostics = (f"cube conversion undefined for UHSC; HSC factor {factor:g} extrapolated "
+                   "for f_ck",) if uhsc else ()
+    f_ck = DBJ_FCK_FACTOR * (f_c / factor)
     xi_dbj = f_y * column.A_s / (f_ck * column.A_c)
     N = f_ck * (1.14 + 1.02 * xi_dbj) * (column.A_s + column.A_c)
-    return N, {"f_ck": f_ck, "xi_dbj": xi_dbj}, tuple(diagnostics)
+    return N, {"f_ck": f_ck, "xi_dbj": xi_dbj}, diagnostics
 
 
 @_method(MethodId.ACI, *_EC4_ACI_LIMITS)

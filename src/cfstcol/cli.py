@@ -83,24 +83,10 @@ def _settings(args: argparse.Namespace) -> PredictionSettings:
 
 
 def _build_column(args: argparse.Namespace) -> tuple[ColumnSpec, ConvertedStrength]:
-    from .section import (
-        CircularSection,
-        ColumnSpec,
-        ConcreteMaterial,
-        MeasuredStrength,
-        SpecimenKind,
-        SteelMaterial,
-        convert_strength,
-    )
+    from .section import SpecimenKind, column_from_inputs
 
-    kind = SpecimenKind(args.fc_kind.upper())
-    converted = convert_strength(MeasuredStrength(args.fc, kind))
-    column = ColumnSpec(
-        CircularSection(args.D, args.t, args.L),
-        SteelMaterial(args.fy, args.fu, args.Es),
-        ConcreteMaterial(converted.f_c, args.dmax, args.ec),
-    )
-    return column, converted
+    return column_from_inputs(args.D, args.t, args.L, args.fy, args.fu, args.Es, args.fc,
+                              SpecimenKind(args.fc_kind.upper()), args.dmax, args.ec)
 
 
 def _parse_methods(spec: str) -> tuple[MethodId, ...]:
@@ -283,11 +269,13 @@ def _cmd_respond(args: argparse.Namespace) -> int:
 def _cmd_batch(args: argparse.Namespace) -> int:
     import os
 
-    from .dataset import RatioStats, evaluate_rows, parse_dataset
+    from .dataset import CSV_HEADER, RatioStats, evaluate_rows, parse_dataset
+    from .section import check_concrete_modulus
 
     # usage errors first, so that a bad flag costs no read or parse of the input
     methods = _parse_methods(args.method)
     settings = _settings(args)
+    check_concrete_modulus(args.ec)
     if args.out and args.summary_out and os.path.realpath(args.out) == os.path.realpath(args.summary_out):
         raise ValueError(f"--out and --summary-out both name {args.out}")
     try:
@@ -297,9 +285,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise ValueError(f"cannot read {args.input}: {exc}") from None
     parsed = parse_dataset(text)
 
-    header = ["index", "source_id", "D_mm", "t_mm", "L_mm", "fy_MPa", "fu_MPa", "Es_MPa",
-              "fc_measured_MPa", "fc_kind", "dmax_mm", "Ntest_kN", "fc_MPa",
-              "concrete_class", "defaulted", "error"]
+    header = ["index", *CSV_HEADER, "fc_MPa", "concrete_class", "defaulted", "error"]
     for m in methods:
         header += [f"Nu_{m.value}_kN", f"applicable_{m.value}"]
     header.append("diagnostics")
@@ -311,14 +297,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         for row in evaluate_rows(parsed.records, methods, settings, Ec_override=args.ec):
             stats.add(row)
             rec = row.record
+            # the input values as repr, which reads back to the float the row was evaluated with
             cells = [
-                str(row.index), rec.source_id, f"{rec.D:g}", f"{rec.t:g}", f"{rec.L:g}",
-                f"{rec.f_y:g}",
-                "" if rec.f_u is None else f"{rec.f_u:g}",
-                "" if rec.E_s is None else f"{rec.E_s:g}",
-                f"{rec.fc_measured:g}", rec.fc_kind._value_,  # .value without the enum descriptor
-                "" if rec.d_max is None else f"{rec.d_max:g}",
-                f"{rec.N_test_kN:g}",
+                str(row.index), rec.source_id, repr(rec.D), repr(rec.t), repr(rec.L),
+                repr(rec.f_y),
+                "" if rec.f_u is None else repr(rec.f_u),
+                "" if rec.E_s is None else repr(rec.E_s),
+                repr(rec.fc_measured), rec.fc_kind._value_,  # .value without the enum descriptor
+                "" if rec.d_max is None else repr(rec.d_max),
+                repr(rec.N_test_kN),
                 "" if row.f_c is None else _cell(row.f_c, "%.4f"),
                 row.concrete_class or "",
                 ";".join(row.defaulted),

@@ -29,18 +29,14 @@ from .capacity import (
     predict,
 )
 from .section import (
-    CircularSection,
     ColumnSpec,
-    ConcreteMaterial,
-    ConversionError,
     ConvertedStrength,
-    MeasuredStrength,
     SpecimenKind,
-    SteelMaterial,
+    check_concrete_modulus,
     check_measured_strength,
     check_section,
     check_steel,
-    convert_strength,
+    column_from_inputs,
 )
 
 CSV_HEADER = (
@@ -151,41 +147,44 @@ def _parse_row(line: int, cells: list[str]) -> SpecimenRecord:
 def parse_dataset(csv_text: str) -> ParsedDataset:
     """Parse a dataset CSV; malformed rows become per-line errors, never a file abort.
 
-    The header row must match the documented schema exactly.
+    The header row must match the documented schema exactly.  A record the csv reader
+    cannot read, or one holding a NUL, is a row error; parsing resumes after it.
     """
     reader = csv.reader(io.StringIO(csv_text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty file: missing header row") from None
+        header = next(reader, None)
+    except csv.Error:  # a header the reader cannot read is a wrong one
+        header = ()
+    if header is None:
+        raise ValueError("empty file: missing header row")
     if tuple(cell.strip() for cell in header) != CSV_HEADER:
         raise ValueError(f"header does not match the documented schema {','.join(CSV_HEADER)}")
     records: list[SpecimenRecord] = []
     errors: list[RowError] = []
-    for line, cells in enumerate(reader, start=2):
-        if not "".join(cells).strip():  # a blank line, or one of blank cells only
-            continue
+    line = 1
+    while True:  # the plain loop, re-entered after each record the reader cannot read
         try:
-            records.append(_parse_row(line, cells))
-        except ValueError as exc:
-            errors.append(RowError(line, str(exc)))
-    return ParsedDataset(tuple(records), tuple(errors))
+            for line, cells in enumerate(reader, start=line + 1):
+                text = "".join(cells)
+                if not text.strip():  # a blank line, or one of blank cells only
+                    continue
+                try:
+                    if "\0" in text:  # Python 3.10's reader raises this, later ones read the NUL
+                        raise ValueError("unreadable record: line contains NUL")
+                    records.append(_parse_row(line, cells))
+                except ValueError as exc:
+                    errors.append(RowError(line, str(exc)))
+            return ParsedDataset(tuple(records), tuple(errors))
+        except csv.Error as exc:  # the reader has dropped that record and resumes after it
+            line += 1
+            errors.append(RowError(line, f"unreadable record: {exc}"))
 
 
 def column_from_record(
     record: SpecimenRecord, Ec_override: float | None = None
 ) -> tuple[ColumnSpec, ConvertedStrength]:
-    """Build a ColumnSpec from a record, converting the measured strength.
-
-    Raises ConversionError when the strength basis cannot be converted.
-    """
-    converted = convert_strength(MeasuredStrength(record.fc_measured, record.fc_kind))
-    column = ColumnSpec(
-        CircularSection(record.D, record.t, record.L),
-        SteelMaterial(record.f_y, record.f_u, record.E_s),
-        ConcreteMaterial(converted.f_c, record.d_max, Ec_override),
-    )
-    return column, converted
+    """``column_from_inputs`` on a record, whose fields 1 to 9 are its first nine parameters."""
+    return column_from_inputs(*record[1:10], Ec_override)
 
 
 class RowResult(NamedTuple):
@@ -220,7 +219,7 @@ def _evaluate_row(
 ) -> RowResult:
     try:
         column, converted = column_from_record(record, Ec_override)
-    except (ConversionError, ValueError) as exc:
+    except ValueError as exc:  # a ConversionError included
         return RowResult(index, record, None, None, record.defaulted, str(exc), ())
     # column.defaulted already names the defaulted material fields; fc_kind
     # is the only parse-level default it cannot see
@@ -313,7 +312,10 @@ def evaluate_rows(
     records: Iterable[SpecimenRecord], methods: tuple[MethodId, ...],
     settings: PredictionSettings = DEFAULT_SETTINGS, Ec_override: float | None = None,
 ) -> Iterator[RowResult]:
-    """Evaluate records one at a time, in input order, yielding each row's result."""
+    """Evaluate records one at a time, in input order, yielding each row's result.
+
+    An invalid ``Ec_override`` raises ValueError before the first row."""
+    check_concrete_modulus(Ec_override)
     for i, rec in enumerate(records):
         yield _evaluate_row(i, rec, methods, settings, Ec_override)
 
@@ -331,7 +333,7 @@ def evaluate_dataset(
     rows whose evaluation errors (e.g. an impossible strength conversion)
     count only towards n_total.  ``Ec_override`` replaces the derived
     concrete modulus on every row (sensitivity runs).  A method listed
-    twice raises ValueError.
+    twice, or an invalid ``Ec_override``, raises ValueError before any row.
     """
     if methods is None:
         methods = ALL_METHODS

@@ -50,8 +50,6 @@ def response_curve(
     ``f_r_override`` substitutes the confining pressure of the concrete curve,
     as in ``confined_concrete_params`` (e.g. 0 for the unconfined limit).
     """
-    if eps_max <= 0:
-        raise ValueError("eps_max must be positive")
     if n < 8:
         raise ValueError("need at least 8 samples for a response curve")
     sparams = steel_curve_params(column.steel)

@@ -150,12 +150,8 @@ def convert_strength(measured: MeasuredStrength) -> ConvertedStrength:
     return ConvertedStrength(value, klass)
 
 
-def concrete_elastic_modulus(f_c: float, override: float | None = None) -> float:
-    """Secant modulus E_c = 4700*sqrt(f_c) MPa, unless an explicit override is given."""
-    if override is not None:
-        if override <= 0:
-            raise ValueError("E_c override must be positive")
-        return override
+def concrete_elastic_modulus(f_c: float) -> float:
+    """Secant modulus E_c = 4700*sqrt(f_c) MPa."""
     if f_c <= 0:
         raise ValueError("f_c must be positive")
     return 4700.0 * math.sqrt(f_c)
@@ -302,6 +298,12 @@ class ConcreteMaterial:
         return ()
 
 
+def check_concrete_modulus(E_c: float | None) -> None:
+    """Raise ValueError unless ``E_c`` is None or a modulus every ``ConcreteMaterial`` accepts."""
+    if E_c is not None:  # with a valid f_c and d_max, a fault can only be E_c's
+        ConcreteMaterial(1.0, None, E_c)
+
+
 @dataclass(frozen=True, slots=True)
 class ColumnSpec:
     """One circular CFST column: geometry plus steel and core concrete.
@@ -347,3 +349,18 @@ class ColumnSpec:
     @property
     def validity_flags(self) -> tuple[str, ...]:
         return self.steel.validity_flags + self.concrete.validity_flags
+
+
+def column_from_inputs(
+    D: float, t: float, L: float, f_y: float, f_u: float | None, E_s: float | None,
+    fc_measured: float, fc_kind: SpecimenKind, d_max: float | None = None, E_c: float | None = None,
+) -> tuple[ColumnSpec, ConvertedStrength]:
+    """The column a specimen's inputs describe, and its strength on the cylinder basis.
+
+    It converts the measured strength, then assembles the column; None takes the
+    documented default.  Raises ConversionError for cube specimens of UHSC, and
+    ValueError for inputs the value types reject."""
+    converted = convert_strength(MeasuredStrength(fc_measured, fc_kind))
+    column = ColumnSpec(CircularSection(D, t, L), SteelMaterial(f_y, f_u, E_s),
+                        ConcreteMaterial(converted.f_c, d_max, E_c))
+    return column, converted

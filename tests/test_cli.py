@@ -1,10 +1,12 @@
 import argparse
+import csv
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cfstcol import MethodId, OliveiraMode, evaluate_dataset, parse_dataset, predict, response_curve
 from cfstcol.capacity import ARITHMETIC_ERROR
@@ -13,6 +15,8 @@ from cfstcol.dataset import CSV_HEADER
 
 from conftest import build_column
 from test_acceptance import GATING_ROWS
+
+GOLDEN = Path(__file__).parent / "golden"
 
 R1_ARGS = ["--D", "100", "--t", "5", "--L", "300", "--fy", "300", "--fu", "450",
            "--Es", "200000", "--fc", "30"]
@@ -216,6 +220,28 @@ class TestBatch:
         assert rerun_rows.read_text() == rows_out.read_text()
         assert rerun_summary.read_text() == summary_out.read_text()
 
+    def test_echo_cells_read_back_to_the_evaluated_values(self, capsys, tmp_path):
+        # the numeric echo cells are written as repr, so that N_test/N_u can be recomputed
+        # from the rows CSV's own cells; %g kept six significant digits
+        text = ",".join(CSV_HEADER) + "\n" + \
+            "p,219.1234,4.0125,657.3702,355.55555,,,41.234567,,,1234.56789\n" + \
+            "r1,100,5,300,300,450,200000,30,CYL150,20,650\n"
+        source = tmp_path / "echo.csv"
+        source.write_text(text)
+        rows_out = tmp_path / "rows.csv"
+        code, _, err = run(capsys, ["batch", "--input", str(source), "--method", "aci",
+                                    "--out", str(rows_out)])
+        assert code == 0, err
+        lines = [line.split(",") for line in rows_out.read_text().splitlines()]
+        echoed = [line[1:len(CSV_HEADER) + 1] for line in lines[1:]]
+        assert lines[0][1:len(CSV_HEADER) + 1] == list(CSV_HEADER)
+        assert echoed == [
+            ["p", "219.1234", "4.0125", "657.3702", "355.55555", "", "", "41.234567", "CYL150",
+             "", "1234.56789"],
+            ["r1", "100.0", "5.0", "300.0", "300.0", "450.0", "200000.0", "30.0", "CYL150",
+             "20.0", "650.0"],
+        ]
+
     def test_row_errors_reported_inline_and_run_continues(self, capsys, tmp_path):
         text = ",".join(CSV_HEADER) + "\n" + \
             "ok,100,5,300,300,450,200000,30,CYL150,20,650\n" + \
@@ -278,6 +304,18 @@ class TestBatch:
         assert code == 2
         assert "unknown method 'bogus'" in err
         assert "cannot read" not in err
+
+    @pytest.mark.parametrize("value,message", [("-1", "E_c must be positive"),
+                                               ("nan", "E_c must be finite, got nan")])
+    def test_invalid_ec_is_a_usage_error_before_any_row(self, capsys, tmp_path, value, message):
+        rows_out, summary_out = tmp_path / "rows.csv", tmp_path / "summary.json"
+        code, _, err = run(capsys, ["batch", "--input", str(GOLDEN / "batch_input.csv"),
+                                    "--method", "aci", "--ec", value, "--out", str(rows_out),
+                                    "--summary-out", str(summary_out)])
+        _, _, predict_err = run(capsys, ["predict", *R1_ARGS, "--ec", value])
+        assert code == 2
+        assert err == predict_err == f"error: {message}\n"
+        assert not rows_out.exists() and not summary_out.exists()
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, ["batch", "--input", str(tmp_path / "absent.csv")])
@@ -423,14 +461,23 @@ class TestNonFiniteInputs:
         assert "eps_max must be finite" in err
         assert "integer" not in err
 
-    @pytest.mark.parametrize("flag,value", [("--fu", "inf"), ("--Es", "nan"), ("--dmax", "inf"),
-                                            ("--ec", "nan"), ("--ke", "inf"), ("--keff", "nan"),
-                                            ("--rcc", "inf")])
-    def test_every_numeric_flag_rejects_non_finite(self, capsys, flag, value):
-        code, out, err = run(capsys, ["predict", *R1_ARGS, flag, value, "--format", "json"])
+    @pytest.mark.parametrize("command,flag,value,message", [
+        *[("predict", flag, value, "finite") for flag, value in [
+            ("--fu", "inf"), ("--Es", "nan"), ("--dmax", "inf"), ("--ec", "nan"), ("--ke", "inf"),
+            ("--keff", "nan"), ("--rcc", "inf")]],
+        ("predict", "--ec", "-1", "E_c must be positive"),
+        *[("batch", flag, value, "finite") for flag, value in [
+            ("--ec", "nan"), ("--ec", "inf"), ("--ke", "inf"), ("--keff", "nan"), ("--rcc", "inf")]],
+        ("batch", "--ec", "-1", "E_c must be positive"),
+    ])
+    def test_every_numeric_flag_rejects_non_finite(self, capsys, command, flag, value, message):
+        # the batch checks its flags before it reads its input, so the absent input is never read
+        args = [*R1_ARGS, "--format", "json"] if command == "predict" else ["--input", "absent.csv"]
+        code, out, err = run(capsys, [command, *args, flag, value])
         assert code == 2
         assert out == ""
-        assert "finite" in err
+        assert message in err
+        assert "cannot read" not in err
 
     def test_batch_rows_become_row_errors_and_summary_is_strict_json(self, capsys, tmp_path):
         text = ",".join(CSV_HEADER) + "\n" + \
@@ -450,6 +497,67 @@ class TestNonFiniteInputs:
         assert "Ntest_kN" in summary["row_errors"][1]["message"]
         assert summary["n_rows"] == 1
         assert all(s["n_total"] == 1 for s in summary["summaries"])
+
+
+# a cell of every kind a spreadsheet export may hold, the unreadable ones included
+_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "", " ", '"300"',
+                     '"a,b"', '"two\nlines"', "x" * 200_000, "\0", "3\x000", "cube150"]),
+)
+_VALID_CELLS = "s,100,5,300,300,450,200000,30,CYL150,20,650".split(",")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, len(CSV_HEADER) - 1), _CELL, max_size=4),
+                min_size=1, max_size=4),
+       st.sampled_from(["all", "aci"]))
+def test_batch_on_any_cells_exits_0_with_strict_json(replacements, method):
+    # each row is a valid one with up to four cells replaced; comma and newline source_ids
+    # still break the rows CSV, so the width of its rows is not asserted
+    rows = []
+    for replaced in replacements:
+        cells = list(_VALID_CELLS)
+        for i, cell in replaced.items():
+            cells[i] = cell
+        rows.append(",".join(cells))
+    with tempfile.TemporaryDirectory() as tmp:
+        source, rows_out, summary_out = (Path(tmp, name) for name in ("in.csv", "rows.csv", "s.json"))
+        source.write_text(",".join(CSV_HEADER) + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["batch", "--input", str(source), "--method", method, "--out", str(rows_out),
+                     "--summary-out", str(summary_out)]) == 0
+        summary = _strict_json(summary_out.read_text(encoding="utf-8"))
+        assert "\0" not in rows_out.read_text(encoding="utf-8")
+    assert summary["n_rows"] + len(summary["row_errors"]) <= len(rows)
+
+
+def test_predict_gives_the_batch_loads_of_every_golden_row(capsys, tmp_path):
+    # the CLI flags and the dataset row both reach column_from_inputs, so every load agrees
+    flags = dict(zip(CSV_HEADER[1:], ["--D", "--t", "--L", "--fy", "--fu", "--Es", "--fc",
+                                      "--fc-kind", "--dmax"]))
+    rows_out = tmp_path / "rows.csv"
+    assert main(["batch", "--input", str(GOLDEN / "batch_input.csv"), "--out", str(rows_out),
+                 "--summary-out", str(tmp_path / "summary.json")]) == 0
+    inputs = {row["source_id"]: row for row in
+              csv.DictReader((GOLDEN / "batch_input.csv").read_text(encoding="utf-8").splitlines())}
+    compared = 0
+    for row in csv.DictReader(rows_out.read_text(encoding="utf-8").splitlines()):
+        if row["error"]:
+            continue
+        argv = ["predict", "--format", "json"]
+        for name, flag in flags.items():
+            cell = inputs[row["source_id"]][name].strip()
+            if cell:
+                argv += [flag, cell.lower() if flag == "--fc-kind" else cell]
+        capsys.readouterr()
+        assert main(argv) == 0
+        predictions = json.loads(capsys.readouterr().out)["predictions"]
+        assert len(predictions) == 13
+        for p in predictions:
+            batch_kN = float(row[f"Nu_{p['method']}_kN"])
+            assert (p["Nu_kN"] is None and math.isnan(batch_kN)) or p["Nu_kN"] == batch_kN
+        compared += 1
+    assert compared == 21
 
 
 class TestHugeFiniteInputs:

@@ -25,7 +25,7 @@ from cfstcol import (
     predict_all,
     proposed_factors,
 )
-from cfstcol.dataset import CSV_HEADER, _moments
+from cfstcol.dataset import CSV_HEADER, _moments, evaluate_rows
 
 approx = pytest.approx
 
@@ -134,6 +134,34 @@ class TestParse:
         assert len(parsed.records) == 1
         assert parsed.errors == ()
 
+    OK_ROW = "ok,100,5,300,300,450,200000,30,CYL150,20,650"
+
+    @pytest.mark.parametrize("bad,reason", [
+        ("x" * 200_000 + ",100,5,300,300,,,30,,,650", "field larger than field limit (131072)"),
+        ("nul\0,100,5,300,300,,,30,,,650", "line contains NUL"),
+        ("q,100,5,300,300,,,30,\"CYL\x00150\",,650", "line contains NUL"),
+        ("\0", "line contains NUL"),
+    ], ids=["over-long", "nul", "quoted-nul", "nul-only"])
+    def test_unreadable_record_is_a_row_error_and_parsing_resumes(self, bad, reason):
+        text = "\n".join([HEADER, self.OK_ROW, bad, self.OK_ROW, "", "short", self.OK_ROW]) + "\n"
+        parsed = parse_dataset(text)
+        assert [r.source_id for r in parsed.records] == ["ok"] * 3
+        # later records keep their line numbers
+        assert parsed.errors == (RowError(3, f"unreadable record: {reason}"),
+                                 RowError(6, "expected 11 columns, got 1"))
+
+    def test_two_unreadable_records_in_a_row(self):
+        long = "x" * 200_000
+        text = "\n".join([HEADER, long, long, self.OK_ROW]) + "\n"
+        parsed = parse_dataset(text)
+        assert len(parsed.records) == 1
+        assert [e.line for e in parsed.errors] == [2, 3]
+
+    @pytest.mark.parametrize("header", ["x" * 200_000, HEADER.replace("D_mm", "D_mm\0")])
+    def test_unreadable_header_is_a_wrong_header(self, header):
+        with pytest.raises(ValueError, match="header does not match the documented schema"):
+            parse_dataset(header + "\n" + self.OK_ROW + "\n")
+
 
 class TestColumnFromRecord:
     def test_strength_converted_on_evaluation(self):
@@ -241,6 +269,18 @@ class TestEvaluate:
             evaluate_dataset([record()], methods)
         with pytest.raises(ValueError, match="given more than once"):
             predict_all(column_from_record(record())[0], methods)
+
+    @pytest.mark.parametrize("E_c,message", [(-1.0, "E_c must be positive"), (0.0, "E_c must be positive"),
+                                             (math.nan, "E_c must be finite, got nan")])
+    def test_invalid_ec_override_raises_before_any_row(self, E_c, message):
+        def records():
+            raise AssertionError("no record may be read")
+            yield
+        with pytest.raises(ValueError, match=message):
+            evaluate_dataset(records(), (MethodId.ACI,), Ec_override=E_c)
+        rows = evaluate_rows([record()], (MethodId.ACI,), Ec_override=E_c)
+        with pytest.raises(ValueError, match=message):
+            next(rows)
 
     def test_defaulted_names_fields_on_error_rows_too(self):
         text = (HEADER + "\nok,100,5,300,300,,,30,,,650"

@@ -50,8 +50,8 @@ EXPORTS = {
     "section": [
         "CircularSection", "ColumnSpec", "ConcreteClass", "ConcreteMaterial", "ConversionError",
         "ConvertedStrength", "MeasuredStrength", "SectionError", "SpecimenKind", "SteelMaterial",
-        "classify_concrete", "concrete_elastic_modulus", "confinement_factor", "convert_strength",
-        "section_areas", "section_second_moments",
+        "classify_concrete", "column_from_inputs", "concrete_elastic_modulus", "confinement_factor",
+        "convert_strength", "section_areas", "section_second_moments",
     ],
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]

@@ -103,6 +103,14 @@ class TestResponseCurve:
         with pytest.raises(ValueError):
             response_curve(r1, 0.03, 7)
 
+    @pytest.mark.parametrize("eps_max", [0.0, -0.03])
+    def test_non_positive_extent_is_refused_by_the_grid(self, r1, eps_max):
+        with pytest.raises(ValueError, match="eps_max must be positive"):
+            response_curve(r1, eps_max, 64)
+        # the grid checks the extent after the sample count and the material curves
+        with pytest.raises(ValueError, match="need at least 8 samples"):
+            response_curve(r1, eps_max, 7)
+
     @pytest.mark.parametrize("value,message", [
         (math.nan, "f_r_override must be finite"),
         (math.inf, "f_r_override must be finite"),

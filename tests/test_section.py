@@ -19,6 +19,7 @@ from cfstcol import (
     SpecimenKind,
     SteelMaterial,
     classify_concrete,
+    column_from_inputs,
     concrete_elastic_modulus,
     confinement_factor,
     convert_strength,
@@ -107,14 +108,9 @@ class TestElasticModulus:
     def test_default_formula(self):
         assert concrete_elastic_modulus(30) == approx(25742.9602027, rel=1e-9)
 
-    def test_override_wins(self):
-        assert concrete_elastic_modulus(30, override=30000.0) == 30000.0
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             concrete_elastic_modulus(0.0)
-        with pytest.raises(ValueError):
-            concrete_elastic_modulus(30, override=-1.0)
 
 
 class TestClassification:
@@ -273,6 +269,11 @@ class TestConcreteMaterial:
         with pytest.raises(ValueError):
             ConcreteMaterial(30.0, -1.0)
 
+    @pytest.mark.parametrize("E_c", [0.0, -1.0])
+    def test_nonpositive_given_modulus_rejected(self, E_c):
+        with pytest.raises(ValueError, match="E_c must be positive"):
+            ConcreteMaterial(30.0, 20.0, E_c)
+
 
 NON_FINITE = [math.nan, math.inf, -math.nan]
 
@@ -422,3 +423,56 @@ class TestColumnSpec:
     def test_flags_aggregate(self, make_column):
         column = make_column(100, 5, 300, 900, 200)
         assert len(column.validity_flags) == 2
+
+
+def _hand_assembly(D, t, L, f_y, f_u, E_s, fc_measured, fc_kind, d_max, E_c):
+    """A column built from its value types, as column_from_inputs' callers once wrote it."""
+    converted = convert_strength(MeasuredStrength(fc_measured, fc_kind))
+    column = ColumnSpec(CircularSection(D, t, L), SteelMaterial(f_y, f_u, E_s),
+                        ConcreteMaterial(converted.f_c, d_max, E_c))
+    return column, converted
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _near(*points):
+    """Values at, just inside and just outside each validity boundary, and the non-finite ones."""
+    near = [v for p in points for v in (p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf))]
+    return st.sampled_from(near + [math.nan, math.inf, -math.inf])
+
+
+# every input drawn across the boundaries of the rule that reads it: positivity, D > 2t,
+# f_u >= f_y, the class limits of the conversion and a non-negative d_max
+_LENGTH = st.one_of(st.floats(1.0, 5000.0), _near(0.0, 10.0, 20.0))
+_STRESS = st.one_of(st.floats(1.0, 1000.0), _near(0.0, 300.0))
+_OPTIONAL = st.one_of(st.none(), st.floats(1.0, 3e5), _near(0.0, 300.0))
+_STRENGTH = st.one_of(st.floats(1.0, 200.0), _near(0.0, 60.0, 120.0, 122.4, 125.0))
+
+
+class TestColumnFromInputs:
+    @given(st.tuples(_LENGTH, _LENGTH, _LENGTH, _STRESS, _OPTIONAL, _OPTIONAL, _STRENGTH,
+                     st.sampled_from(SpecimenKind), st.one_of(st.none(), _near(-1.0, 0.0, 20.0)),
+                     _OPTIONAL))
+    def test_same_column_as_hand_assembly(self, inputs):
+        got, want = _outcome(column_from_inputs, *inputs), _outcome(_hand_assembly, *inputs)
+        if isinstance(want[0], type):  # both raise, with one type and message
+            assert got == want
+            return
+        (column, converted), (expected, expected_converted) = got, want
+        assert (column.section, column.steel, column.concrete) == (
+            expected.section, expected.steel, expected.concrete)
+        for name in ("A_s", "A_c", "I_s", "I_c", "dt_ratio", "ld_ratio", "alpha_s", "xi_c"):
+            assert getattr(column, name).hex() == getattr(expected, name).hex(), name
+        assert column.defaulted == expected.defaulted
+        assert converted == expected_converted
+
+    def test_converts_before_assembling(self):
+        # an unconvertible strength is reported even where the section is impossible too
+        with pytest.raises(ConversionError):
+            column_from_inputs(100.0, 60.0, 300.0, 300.0, None, None, 150.0, SpecimenKind.CUBE150)
+

@@ -41,6 +41,22 @@ R1_GOLDENS = (
 )
 # the bench/gen.py fixtures whose batch outputs must not depend on the interpreter
 FIXTURES = ("batch-all", "batch-ingest")
+# nor may they on a file of the records that readers disagree on or cannot read: after a
+# byte-order mark, a 200 000-character cell, a NUL cell, nan, inf, 1e308, -0, a blank line
+# and quoted fields, each a row error or a value
+ADVERSARIAL = "\ufeff" + "\n".join([
+    "source_id,D_mm,t_mm,L_mm,fy_MPa,fu_MPa,Es_MPa,fc_measured_MPa,fc_kind,dmax_mm,Ntest_kN",
+    "ok,100,5,300,300,450,200000,30,CYL150,20,650",
+    "x" * 200_000 + ",100,5,300,300,,,30,,,650",
+    "nul,100,5,300,300,,,\0,,,650",
+    "nan,100,5,300,300,,,nan,,,650",
+    "inf,100,5,inf,300,,,30,,,650",
+    "huge,100,5,300,300,,,30,,,1e308",
+    "negative_zero,100,5,300,300,,,30,,-0,650",
+    "",
+    '"quoted, id",100,"5",300,300,,,30,"CYL150",,650',
+    "after,219.1234,4.0125,657.3702,355.55555,,,41.234567,,,1234.56789",
+]) + "\n"
 
 
 def _src_env() -> dict:
@@ -121,12 +137,24 @@ def _same(actual: str, expected: Path, label: str) -> bool:
 
 
 def _batch(command: list[str], cwd: str, env: dict | None, methods: str,
-           source: Path) -> tuple[str, str]:
-    """The rows CSV and summary JSON that ``command batch`` writes for ``source``."""
-    subprocess.run([*command, "batch", "--method", methods, "--input", str(source),
-                    "--out", "rows.csv", "--summary-out", "summary.json"],
-                   cwd=cwd, env=env, check=True)
+           source: Path) -> tuple[str, str] | None:
+    """The rows CSV and summary JSON that ``command batch`` writes for ``source``, or None,
+    after printing the end of its stderr, if it exits non-zero."""
+    done = subprocess.run([*command, "batch", "--method", methods, "--input", str(source),
+                           "--out", "rows.csv", "--summary-out", "summary.json"],
+                          cwd=cwd, env=env, stderr=subprocess.PIPE, text=True)
+    if done.returncode != 0:
+        print(f"batch on {source.name} exited {done.returncode}: {done.stderr[-400:]}")
+        return None
     return tuple(Path(cwd, name).read_text(encoding="utf-8") for name in ("rows.csv", "summary.json"))
+
+
+def _same_batch(outputs: tuple[str, str] | None, label: str) -> bool:
+    """Whether ``outputs`` are the golden batch files' text."""
+    if outputs is None:
+        return False
+    return (_same(outputs[0], GOLDEN / "batch_all_rows.csv", f"batch rows{label}")
+            & _same(outputs[1], GOLDEN / "batch_all_summary.json", f"batch summary{label}"))
 
 
 def golden(command: list[str] | None) -> bool:
@@ -141,9 +169,7 @@ def golden(command: list[str] | None) -> bool:
             out = subprocess.run([*command, *args, *R1], cwd=tmp, env=env, text=True,
                                  stdout=subprocess.PIPE, stderr=subprocess.STDOUT).stdout
             ok &= _same(out, GOLDEN / name, " ".join(args))
-        rows, summary = _batch(command, tmp, env, "all", GOLDEN / "batch_input.csv")
-        ok &= _same(rows, GOLDEN / "batch_all_rows.csv", "batch rows")
-        ok &= _same(summary, GOLDEN / "batch_all_summary.json", "batch summary")
+        ok &= _same_batch(_batch(command, tmp, env, "all", GOLDEN / "batch_input.csv"), "")
     return ok
 
 
@@ -164,7 +190,8 @@ def _pyenv_pythons() -> list[Path]:
 
 def cross_interpreter(command: list[str] | None) -> bool:
     """Under every pyenv interpreter, the batch on the golden input gives the goldens, and
-    the batch on each seed-1 fixture gives the same bytes as under the oldest one."""
+    the batch on each seed-1 fixture and on the adversarial file exits 0 and gives the same
+    bytes as under the oldest one."""
     pythons = _pyenv_pythons()
     if not pythons:
         print("cross-interpreter: skipped, no pyenv interpreter from 3.10 on")
@@ -181,16 +208,21 @@ def cross_interpreter(command: list[str] | None) -> bool:
             source = Path(tmp, f"{name}.csv")
             source.write_text(workload.csv_text(), encoding="utf-8")
             fixtures.append((name, workload.methods, source))
+        source = Path(tmp, "adversarial.csv")
+        source.write_text(ADVERSARIAL, encoding="utf-8")
+        fixtures.append(("adversarial", "all", source))
         first: dict[str, tuple[str, str]] = {}
         for python in pythons:
             version = python.parent.parent.name
             print(f"cross-interpreter: Python {version}", flush=True)
             command = [str(python), "-m", "cfstcol.cli"]
-            rows, summary = _batch(command, tmp, env, "all", GOLDEN / "batch_input.csv")
-            ok &= _same(rows, GOLDEN / "batch_all_rows.csv", f"batch rows, Python {version}")
-            ok &= _same(summary, GOLDEN / "batch_all_summary.json", f"batch summary, Python {version}")
+            golden_input = GOLDEN / "batch_input.csv"
+            ok &= _same_batch(_batch(command, tmp, env, "all", golden_input), f", Python {version}")
             for name, methods, source in fixtures:
                 outputs = _batch(command, tmp, env, methods, source)
+                if outputs is None:
+                    ok = False
+                    continue
                 reference = first.setdefault(name, outputs)
                 if outputs != reference:
                     print(f"cross-interpreter: {name} outputs under Python {version} differ from "
