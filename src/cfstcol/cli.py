@@ -198,6 +198,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if args.format == "csv":
         if column.defaulted:
             lines.append(f"# defaulted: {', '.join(column.defaulted)}")
+        lines += [f"# validity: {flag}" for flag in column.validity_flags]
         lines.append("method,Nu_kN,applicable,violations,diagnostics")
         for p in predictions:
             viols = _violations_text(p).replace('"', "'")
@@ -208,9 +209,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     else:
         lines.append(f"{'method':<12} {'Nu_kN':>10}  {'applicable':<10} notes")
         for p in predictions:
-            notes = []
-            if _violations_text(p):
-                notes.append(_violations_text(p))
+            viols = _violations_text(p)
+            notes = [viols] if viols else []
             notes.extend(p.diagnostics)
             if p.intermediates:
                 notes.append(

@@ -82,6 +82,7 @@ class ParsedDataset(NamedTuple):
 
 
 _SPECIMEN_KINDS = {kind.value: kind for kind in SpecimenKind}
+_NUL = "\udc00"  # parse_dataset reads each NUL as this surrogate, which strict UTF-8 never yields
 
 
 def _parse_float(cell: str, name: str) -> float:
@@ -91,7 +92,7 @@ def _parse_float(cell: str, name: str) -> float:
         raise ValueError(f"{name}: not a number: {cell!r}") from None
 
 
-def _parse_row(line: int, cells: list[str]) -> SpecimenRecord:
+def _parse_row(cells: list[str]) -> SpecimenRecord:
     if len(cells) != len(CSV_HEADER):
         raise ValueError(f"expected {len(CSV_HEADER)} columns, got {len(cells)}")
     # one local per CSV_HEADER column, named after it
@@ -148,9 +149,10 @@ def parse_dataset(csv_text: str) -> ParsedDataset:
     """Parse a dataset CSV; malformed rows become per-line errors, never a file abort.
 
     The header row must match the documented schema exactly.  A record the csv reader
-    cannot read, or one holding a NUL, is a row error; parsing resumes after it.
+    cannot read, or one holding a NUL, is a row error on every Python; parsing resumes
+    after it.  Each row error names the physical line its record starts on.
     """
-    reader = csv.reader(io.StringIO(csv_text))
+    reader = csv.reader(io.StringIO(csv_text.replace("\0", _NUL)))
     try:
         header = next(reader, None)
     except csv.Error:  # a header the reader cannot read is a wrong one
@@ -161,23 +163,21 @@ def parse_dataset(csv_text: str) -> ParsedDataset:
         raise ValueError(f"header does not match the documented schema {','.join(CSV_HEADER)}")
     records: list[SpecimenRecord] = []
     errors: list[RowError] = []
-    line = 1
-    while True:  # the plain loop, re-entered after each record the reader cannot read
+    while True:
+        line = reader.line_num + 1  # the line the next record starts on
         try:
-            for line, cells in enumerate(reader, start=line + 1):
-                text = "".join(cells)
-                if not text.strip():  # a blank line, or one of blank cells only
-                    continue
-                try:
-                    if "\0" in text:  # Python 3.10's reader raises this, later ones read the NUL
-                        raise ValueError("unreadable record: line contains NUL")
-                    records.append(_parse_row(line, cells))
-                except ValueError as exc:
-                    errors.append(RowError(line, str(exc)))
+            cells = next(reader)
+            if not (text := "".join(cells)).strip():  # a blank line, or blank cells only
+                continue
+            if _NUL in text:
+                raise csv.Error("line contains NUL")
+            records.append(_parse_row(cells))
+        except StopIteration:
             return ParsedDataset(tuple(records), tuple(errors))
-        except csv.Error as exc:  # the reader has dropped that record and resumes after it
-            line += 1
+        except csv.Error as exc:  # the reader resumes after the record it could not read
             errors.append(RowError(line, f"unreadable record: {exc}"))
+        except ValueError as exc:
+            errors.append(RowError(line, str(exc)))
 
 
 def column_from_record(

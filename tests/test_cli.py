@@ -69,6 +69,17 @@ class TestPredict:
         data = [line for line in lines if not line.startswith("#")]
         assert data[0] == "method,Nu_kN,applicable,violations,diagnostics"
 
+    def test_csv_format_writes_validity_flags(self, capsys):
+        code, out, _ = run(capsys, ["predict", "--D", "100", "--t", "5", "--L", "300",
+                                    "--fy", "900", "--fc", "200", "--format", "csv"])
+        assert code == 0
+        assert out.splitlines()[:4] == [
+            "# defaulted: f_u, E_s, d_max, E_c",
+            "# validity: f_y=900 MPa outside steel model range [200, 800] MPa",
+            "# validity: f_c=200 MPa outside database range [12.5, 185.6] MPa",
+            "method,Nu_kN,applicable,violations,diagnostics",
+        ]
+
     def test_defaulted_inputs_marked(self, capsys):
         _, out, _ = run(capsys, ["predict", "--D", "100", "--t", "5", "--L", "300",
                                  "--fy", "300", "--fc", "30", "--method", "aci"])

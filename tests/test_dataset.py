@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import cfstcol
 from cfstcol import (
@@ -35,6 +35,27 @@ HEADER = ",".join(CSV_HEADER)
 def record(source_id="s", D=200.0, t=5.0, L=600.0, fy=300.0, fu=None, Es=None,
            fc=30.0, kind=SpecimenKind.CYL150, dmax=None, ntest=700.0):
     return SpecimenRecord(source_id, D, t, L, fy, fu, Es, fc, kind, dmax, ntest)
+
+
+@st.composite
+def _dataset_rows(draw):
+    """(kind, source_id, text) of one generated row; text may span lines."""
+    kind = draw(st.sampled_from(["valid", "bad", "blank", "nul", "over-long"]))
+    if kind == "blank":
+        return kind, None, draw(st.sampled_from(["", "  ", ",,,", ",,,,,,,,,,"]))
+    if kind == "over-long":  # beyond the reader's 131 072-character field limit
+        return kind, None, "x" * draw(st.integers(131_073, 131_200)) + ",100,5,300,300,,,30,,,650"
+    quoted = draw(st.booleans())
+    source_id = draw(st.text(alphabet='ab, \n"' if quoted else "ab -", max_size=8))
+    if kind == "nul":
+        i = draw(st.integers(0, len(source_id)))
+        source_id = source_id[:i] + "\0" + source_id[i:]
+    cell = '"' + source_id.replace('"', '""') + '"' if quoted else source_id
+    tail = ",100,5,300,300,450,200000,30,CYL150,20,650"
+    if kind == "bad":
+        tail = draw(st.sampled_from([",100,50,300,300,,,30,,,650", ",100,5,300,abc,,,30,,,650",
+                                     ",100,5", ",100,5,300,300,,,30,PRISM,,650"]))
+    return kind, source_id.strip(), cell + tail
 
 
 class TestParse:
@@ -146,9 +167,34 @@ class TestParse:
         text = "\n".join([HEADER, self.OK_ROW, bad, self.OK_ROW, "", "short", self.OK_ROW]) + "\n"
         parsed = parse_dataset(text)
         assert [r.source_id for r in parsed.records] == ["ok"] * 3
-        # later records keep their line numbers
+        # a later error names its own line
         assert parsed.errors == (RowError(3, f"unreadable record: {reason}"),
                                  RowError(6, "expected 11 columns, got 1"))
+
+    TWO_LINE_ROW = '"two\nlines",100,5,300,300,450,200000,30,CYL150,20,650'
+
+    def test_row_error_names_its_start_line_after_a_two_line_cell(self):
+        text = "\n".join([HEADER, self.TWO_LINE_ROW, self.OK_ROW,
+                          "bad,100,50,300,300,,,30,,,650"]) + "\n"
+        parsed = parse_dataset(text)
+        assert [r.source_id for r in parsed.records] == ["two\nlines", "ok"]
+        assert parsed.errors == (
+            RowError(5, "D=100 mm and t=50 mm leave no concrete core (need D > 2t)"),)
+
+    def test_unreadable_record_names_its_start_line_after_a_two_line_cell(self):
+        text = "\n".join([HEADER, self.TWO_LINE_ROW, "x" * 200_000, "short", self.OK_ROW]) + "\n"
+        parsed = parse_dataset(text)
+        assert [r.source_id for r in parsed.records] == ["two\nlines", "ok"]
+        assert parsed.errors == (
+            RowError(4, "unreadable record: field larger than field limit (131072)"),
+            RowError(5, "expected 11 columns, got 1"))
+
+    def test_nul_in_a_two_line_cell_is_one_unreadable_record(self):
+        text = "\n".join(['"nul\0\nsecond",100,5,300,300,450,200000,30,CYL150,20,650',
+                          self.OK_ROW])
+        parsed = parse_dataset(HEADER + "\n" + text + "\n")
+        assert [r.source_id for r in parsed.records] == ["ok"]
+        assert parsed.errors == (RowError(2, "unreadable record: line contains NUL"),)
 
     def test_two_unreadable_records_in_a_row(self):
         long = "x" * 200_000
@@ -161,6 +207,20 @@ class TestParse:
     def test_unreadable_header_is_a_wrong_header(self, header):
         with pytest.raises(ValueError, match="header does not match the documented schema"):
             parse_dataset(header + "\n" + self.OK_ROW + "\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(_dataset_rows(), max_size=12))
+    def test_errors_name_their_rows_start_lines(self, rows):
+        line = 2  # the line the next row starts on
+        starts = []
+        for _, _, text in rows:
+            starts.append(line)
+            line += text.count("\n") + 1
+        parsed = parse_dataset("\n".join([HEADER, *[text for _, _, text in rows]]) + "\n")
+        assert [r.source_id for r in parsed.records] == [
+            source_id for kind, source_id, _ in rows if kind == "valid"]
+        assert [e.line for e in parsed.errors] == [
+            start for start, (kind, _, _) in zip(starts, rows) if kind not in ("valid", "blank")]
 
 
 class TestColumnFromRecord:

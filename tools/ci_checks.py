@@ -42,8 +42,9 @@ R1_GOLDENS = (
 # the bench/gen.py fixtures whose batch outputs must not depend on the interpreter
 FIXTURES = ("batch-all", "batch-ingest")
 # nor may they on a file of the records that readers disagree on or cannot read: after a
-# byte-order mark, a 200 000-character cell, a NUL cell, nan, inf, 1e308, -0, a blank line
-# and quoted fields, each a row error or a value
+# byte-order mark, a 200 000-character cell, a NUL cell, nan, inf, 1e308, -0, a blank line,
+# quoted fields, a two-line quoted cell, a NUL in one and a row error after them, each a
+# row error or a value
 ADVERSARIAL = "\ufeff" + "\n".join([
     "source_id,D_mm,t_mm,L_mm,fy_MPa,fu_MPa,Es_MPa,fc_measured_MPa,fc_kind,dmax_mm,Ntest_kN",
     "ok,100,5,300,300,450,200000,30,CYL150,20,650",
@@ -56,6 +57,9 @@ ADVERSARIAL = "\ufeff" + "\n".join([
     "",
     '"quoted, id",100,"5",300,300,,,30,"CYL150",,650',
     "after,219.1234,4.0125,657.3702,355.55555,,,41.234567,,,1234.56789",
+    '"two\nlines",100,5,300,300,450,200000,30,CYL150,20,650',
+    '"nul\0\nsecond",100,5,300,300,450,200000,30,CYL150,20,650',
+    "nocore,100,50,300,300,,,30,,,650",
 ]) + "\n"
 
 
