@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import threading
 from typing import Iterable, Iterator, NamedTuple
 
 from .capacity import (
@@ -83,6 +84,8 @@ class ParsedDataset(NamedTuple):
 
 _SPECIMEN_KINDS = {kind.value: kind for kind in SpecimenKind}
 _NUL = "\udc00"  # parse_dataset reads each NUL as this surrogate, which strict UTF-8 never yields
+_FIELD_LIMIT = 131_072  # the longest cell, in characters: the csv module's default limit
+_FIELD_LIMIT_LOCK = threading.Lock()  # held while parse_dataset lifts the process-wide limit
 
 
 def _parse_float(cell: str, name: str) -> float:
@@ -148,36 +151,42 @@ def _parse_row(cells: list[str]) -> SpecimenRecord:
 def parse_dataset(csv_text: str) -> ParsedDataset:
     """Parse a dataset CSV; malformed rows become per-line errors, never a file abort.
 
-    The header row must match the documented schema exactly.  A record the csv reader
-    cannot read, or one holding a NUL, is a row error on every Python; parsing resumes
-    after it.  Each row error names the physical line its record starts on.
+    The header row must match the documented schema exactly.  The reader reads every
+    record whole, and a bare CR ends a line as in a universal-newline read.  A record
+    holding a cell over 131 072 characters, or a NUL anywhere, is one row error on every
+    Python.  Each row error names the physical line its record starts on.
     """
-    reader = csv.reader(io.StringIO(csv_text.replace("\0", _NUL)))
-    try:
-        header = next(reader, None)
-    except csv.Error:  # a header the reader cannot read is a wrong one
-        header = ()
-    if header is None:
-        raise ValueError("empty file: missing header row")
-    if tuple(cell.strip() for cell in header) != CSV_HEADER:
-        raise ValueError(f"header does not match the documented schema {','.join(CSV_HEADER)}")
-    records: list[SpecimenRecord] = []
-    errors: list[RowError] = []
-    while True:
-        line = reader.line_num + 1  # the line the next record starts on
+    csv_text = csv_text.replace("\0", _NUL)
+    reader = csv.reader(io.StringIO(csv_text, newline=""))
+    with _FIELD_LIMIT_LOCK:  # no cell of the text reaches this limit, so the reader never fails
+        limit = csv.field_size_limit(len(csv_text) + 1)
         try:
-            cells = next(reader)
-            if not (text := "".join(cells)).strip():  # a blank line, or blank cells only
-                continue
-            if _NUL in text:
-                raise csv.Error("line contains NUL")
-            records.append(_parse_row(cells))
-        except StopIteration:
-            return ParsedDataset(tuple(records), tuple(errors))
-        except csv.Error as exc:  # the reader resumes after the record it could not read
-            errors.append(RowError(line, f"unreadable record: {exc}"))
-        except ValueError as exc:
-            errors.append(RowError(line, str(exc)))
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("empty file: missing header row")
+            if tuple(cell.strip() for cell in header) != CSV_HEADER:
+                raise ValueError(
+                    f"header does not match the documented schema {','.join(CSV_HEADER)}")
+            records: list[SpecimenRecord] = []
+            errors: list[RowError] = []
+            line = reader.line_num + 1  # the line the next record starts on
+            for cells in reader:
+                start, line = line, reader.line_num + 1
+                try:
+                    text = "".join(cells)
+                    if len(text) > _FIELD_LIMIT and max(map(len, cells)) > _FIELD_LIMIT:
+                        raise ValueError(
+                            f"unreadable record: field larger than field limit ({_FIELD_LIMIT})")
+                    if not text.strip():  # a blank line, or blank cells only
+                        continue
+                    if _NUL in text:
+                        raise ValueError("unreadable record: line contains NUL")
+                    records.append(_parse_row(cells))
+                except ValueError as exc:
+                    errors.append(RowError(start, str(exc)))
+        finally:
+            csv.field_size_limit(limit)
+    return ParsedDataset(tuple(records), tuple(errors))
 
 
 def column_from_record(

@@ -523,6 +523,8 @@ _VALID_CELLS = "s,100,5,300,300,450,200000,30,CYL150,20,650".split(",")
 @given(st.lists(st.dictionaries(st.integers(0, len(CSV_HEADER) - 1), _CELL, max_size=4),
                 min_size=1, max_size=4),
        st.sampled_from(["all", "aci"]))
+# an over-long cell and a two-line cell in one record once read as two records
+@example([{0: "x" * 200_000, 1: '"two\nlines"'}], "aci")
 def test_batch_on_any_cells_exits_0_with_strict_json(replacements, method):
     # each row is a valid one with up to four cells replaced; comma and newline source_ids
     # still break the rows CSV, so the width of its rows is not asserted

@@ -1,7 +1,10 @@
+import csv
 import dataclasses
 import math
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -40,18 +43,30 @@ def record(source_id="s", D=200.0, t=5.0, L=600.0, fy=300.0, fu=None, Es=None,
 @st.composite
 def _dataset_rows(draw):
     """(kind, source_id, text) of one generated row; text may span lines."""
-    kind = draw(st.sampled_from(["valid", "bad", "blank", "nul", "over-long"]))
+    kind = draw(st.sampled_from(["valid", "bad", "blank", "nul", "over-long",
+                                 "over-long-two-line", "bare-cr"]))
+    tail = ",100,5,300,300,450,200000,30,CYL150,20,650"
     if kind == "blank":
         return kind, None, draw(st.sampled_from(["", "  ", ",,,", ",,,,,,,,,,"]))
-    if kind == "over-long":  # beyond the reader's 131 072-character field limit
-        return kind, None, "x" * draw(st.integers(131_073, 131_200)) + ",100,5,300,300,,,30,,,650"
+    if kind.startswith("over-long"):  # beyond the 131 072-character cell limit
+        long = "x" * draw(st.integers(131_073, 131_200))
+        if kind == "over-long":
+            return kind, None, long + ",100,5,300,300,,,30,,,650"
+        # a quoted over-long cell holding a line break, before or after the long part
+        lines = [long, draw(st.text(alphabet="ab ,", max_size=8))]
+        if draw(st.booleans()):
+            lines.reverse()
+        return kind, None, '"' + "\n".join(lines) + '"' + tail
+    if kind == "bare-cr":  # the CR ends a line: a one-cell row error, then a valid record
+        head = draw(st.text(alphabet="ab-", min_size=1, max_size=4))
+        source_id = draw(st.text(alphabet="ab -", max_size=8))
+        return kind, source_id.strip(), head + "\r" + source_id + tail
     quoted = draw(st.booleans())
     source_id = draw(st.text(alphabet='ab, \n"' if quoted else "ab -", max_size=8))
     if kind == "nul":
         i = draw(st.integers(0, len(source_id)))
         source_id = source_id[:i] + "\0" + source_id[i:]
     cell = '"' + source_id.replace('"', '""') + '"' if quoted else source_id
-    tail = ",100,5,300,300,450,200000,30,CYL150,20,650"
     if kind == "bad":
         tail = draw(st.sampled_from([",100,50,300,300,,,30,,,650", ",100,5,300,abc,,,30,,,650",
                                      ",100,5", ",100,5,300,300,,,30,PRISM,,650"]))
@@ -162,7 +177,9 @@ class TestParse:
         ("nul\0,100,5,300,300,,,30,,,650", "line contains NUL"),
         ("q,100,5,300,300,,,30,\"CYL\x00150\",,650", "line contains NUL"),
         ("\0", "line contains NUL"),
-    ], ids=["over-long", "nul", "quoted-nul", "nul-only"])
+        (" " * 200_000, "field larger than field limit (131072)"),
+        ("\0" + "x" * 200_000, "field larger than field limit (131072)"),
+    ], ids=["over-long", "nul", "quoted-nul", "nul-only", "over-long-blank", "over-long-nul"])
     def test_unreadable_record_is_a_row_error_and_parsing_resumes(self, bad, reason):
         text = "\n".join([HEADER, self.OK_ROW, bad, self.OK_ROW, "", "short", self.OK_ROW]) + "\n"
         parsed = parse_dataset(text)
@@ -203,6 +220,68 @@ class TestParse:
         assert len(parsed.records) == 1
         assert [e.line for e in parsed.errors] == [2, 3]
 
+    # a quoted cell beyond the limit, whose second line looks like a valid record
+    PHANTOM_ROW = '"' + "x" * 200_000 + '\nphantom",100,5,300,300,450,200000,30,CYL150,20,650'
+
+    def test_over_long_two_line_cell_is_one_row_error(self):
+        parsed = parse_dataset("\n".join([HEADER, self.PHANTOM_ROW, self.OK_ROW]) + "\n")
+        assert [r.source_id for r in parsed.records] == ["ok"]
+        assert parsed.errors == (
+            RowError(2, "unreadable record: field larger than field limit (131072)"),)
+
+    def test_bare_cr_before_a_two_line_cell_reads_no_phantom_record(self):
+        text = 'a\rb,"q\nphantom",100,5,300,300,450,200000,30,CYL150,20,650'
+        parsed = parse_dataset("\n".join([HEADER, text, self.OK_ROW]) + "\n")
+        assert [r.source_id for r in parsed.records] == ["ok"]
+        assert parsed.errors == (RowError(2, "expected 11 columns, got 1"),
+                                 RowError(3, "expected 11 columns, got 12"))
+
+    def test_bare_cr_ends_a_line(self):
+        # as the CLI's universal-newline read ends it, with one message on every Python
+        text = "a\rb,100,5,300,300,450,200000,30,CYL150,20,650\rbad,100,5\n" + self.OK_ROW
+        parsed = parse_dataset(HEADER + "\n" + text + "\n")
+        assert [r.source_id for r in parsed.records] == ["b", "ok"]
+        assert parsed.errors == (RowError(2, "expected 11 columns, got 1"),
+                                 RowError(4, "expected 11 columns, got 3"))
+
+    def test_field_size_limit_is_the_same_after_every_parse(self):
+        # the 131 072-character rule holds whatever the caller's own limit
+        before, interval = csv.field_size_limit(1000), sys.getswitchinterval()
+        try:
+            parsed = parse_dataset(HEADER + "\n" + "y" * 2000 + self.OK_ROW[2:] + "\n")
+            assert [r.source_id for r in parsed.records] == ["y" * 2000]
+            assert csv.field_size_limit() == 1000
+            with pytest.raises(ValueError, match="header does not match"):
+                parse_dataset("x" * 200_000 + "\n" + self.OK_ROW + "\n")
+            assert csv.field_size_limit() == 1000
+            # parses at once, of files of different lengths, leave it as it was; frequent
+            # thread switches make an unguarded limit fail here most of the time
+            sys.setswitchinterval(1e-5)
+            extras = (0, 25_000, 50_000)  # more threads than the two cores of a small runner
+            start = threading.Barrier(len(extras))
+            results = []
+
+            def parse(extra):
+                start.wait(timeout=60)
+                for _ in range(10):
+                    results.append(parse_dataset("\n".join(
+                        [HEADER, '"' + "x" * extra + self.PHANTOM_ROW[1:], self.OK_ROW]) + "\n"))
+
+            threads = [threading.Thread(target=parse, args=(extra,)) for extra in extras]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert csv.field_size_limit() == 1000
+            expected = (["ok"], (
+                RowError(2, "unreadable record: field larger than field limit (131072)"),))
+            got = [([r.source_id for r in parsed.records], parsed.errors) for parsed in results]
+            assert got == [expected] * 30
+        finally:
+            csv.field_size_limit(before)
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("header", ["x" * 200_000, HEADER.replace("D_mm", "D_mm\0")])
     def test_unreadable_header_is_a_wrong_header(self, header):
         with pytest.raises(ValueError, match="header does not match the documented schema"):
@@ -215,10 +294,10 @@ class TestParse:
         starts = []
         for _, _, text in rows:
             starts.append(line)
-            line += text.count("\n") + 1
+            line += text.count("\n") + text.count("\r") + 1
         parsed = parse_dataset("\n".join([HEADER, *[text for _, _, text in rows]]) + "\n")
         assert [r.source_id for r in parsed.records] == [
-            source_id for kind, source_id, _ in rows if kind == "valid"]
+            source_id for kind, source_id, _ in rows if kind in ("valid", "bare-cr")]
         assert [e.line for e in parsed.errors] == [
             start for start, (kind, _, _) in zip(starts, rows) if kind not in ("valid", "blank")]
 
@@ -426,6 +505,16 @@ _RATIO = st.one_of(
 )
 
 
+@st.composite
+def _overflowing_ratios(draw):
+    """Ratios of one sign whose exact sum lies beyond the float range: two or more of at
+    least 2**1023 and a tail of any magnitude, in any order."""
+    huge = draw(st.lists(st.floats(2.0**1023, 1.7976931348623157e308), min_size=2, max_size=10))
+    tail = draw(st.lists(_RATIO, max_size=20))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return draw(st.permutations([math.copysign(x, sign) for x in huge + tail]))
+
+
 class TestSampleStd:
     def test_correctly_rounded_literal(self):
         # statistics.stdev gives 0.2803121771644369 under Python 3.10; the
@@ -475,17 +564,17 @@ class TestMean:
             assume(False)
         assert _moments(ratios)[0] == expected
 
-    @given(ratios=st.lists(st.one_of(_RATIO, st.floats(1e307, 1.7976931348623157e308)),
-                           min_size=2, max_size=30))
+    @given(ratios=_overflowing_ratios())
     # the sum is exactly half-way between two floats of 2**-3 of it but for 5e-324, which
     # a float rescale by 2**-3 drops: only exact integer sums round it up
     @example(ratios=[math.ldexp(2**53 - 3, 971), 2.0**1023, 5e-324])
     @example(ratios=[-1.7e308, -1.7e308])
     def test_matches_the_rescaled_fraction_where_the_sum_overflows(self, ratios):
         n = len(ratios)
-        assume(abs(sum(map(Fraction, ratios))) >= 2**1024)
+        total = sum(map(Fraction, ratios))
+        assert abs(total) >= 2**1024
         j = n.bit_length() + 1
-        expected = math.ldexp(float(sum(map(Fraction, ratios)) / 2**j) / n, j)
+        expected = math.ldexp(float(total / 2**j) / n, j)
         assert _moments(ratios)[0] == expected
 
     @pytest.mark.parametrize("ratios, mean, std", [

@@ -44,7 +44,8 @@ FIXTURES = ("batch-all", "batch-ingest")
 # nor may they on a file of the records that readers disagree on or cannot read: after a
 # byte-order mark, a 200 000-character cell, a NUL cell, nan, inf, 1e308, -0, a blank line,
 # quoted fields, a two-line quoted cell, a NUL in one and a row error after them, each a
-# row error or a value
+# row error or a value; last, a quoted 200 000-character cell whose second line reads as a
+# valid record, and a valid row after it: one row error, then one record
 ADVERSARIAL = "\ufeff" + "\n".join([
     "source_id,D_mm,t_mm,L_mm,fy_MPa,fu_MPa,Es_MPa,fc_measured_MPa,fc_kind,dmax_mm,Ntest_kN",
     "ok,100,5,300,300,450,200000,30,CYL150,20,650",
@@ -60,6 +61,8 @@ ADVERSARIAL = "\ufeff" + "\n".join([
     '"two\nlines",100,5,300,300,450,200000,30,CYL150,20,650',
     '"nul\0\nsecond",100,5,300,300,450,200000,30,CYL150,20,650',
     "nocore,100,50,300,300,,,30,,,650",
+    '"' + "x" * 200_000 + '\nphantom",100,5,300,300,450,200000,30,CYL150,20,650',
+    "ok_after,100,5,300,300,450,200000,30,CYL150,20,650",
 ]) + "\n"
 
 
