@@ -278,8 +278,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     check_concrete_modulus(args.ec)
     if args.out and args.summary_out and os.path.realpath(args.out) == os.path.realpath(args.summary_out):
         raise ValueError(f"--out and --summary-out both name {args.out}")
-    try:
-        with open(args.input, "r", encoding="utf-8-sig") as fh:
+    try:  # with line ends as they are: parse_dataset owns the newline rule
+        with open(args.input, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {args.input}: {exc}") from None
@@ -314,9 +314,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             diagnostics = []
             for method, N_u, report, _, diags in row.predictions:
                 # _cell(N_u / 1e3) is _cell(_kN(N_u)), and report.violations is
-                # report.applicable negated, both written out to save calls per load
-                N_u /= 1e3
-                cells += ["%.1f" % N_u if -1e16 < N_u < 1e16 else repr(N_u), "false" if report.violations else "true"]
+                # report.applicable negated, without the property call
+                cells += [_cell(N_u / 1e3), "false" if report.violations else "true"]
                 if diags:
                     diagnostics += [f"{method._value_}: {d}" for d in diags]
             if not row.predictions:

@@ -151,13 +151,13 @@ def _parse_row(cells: list[str]) -> SpecimenRecord:
 def parse_dataset(csv_text: str) -> ParsedDataset:
     """Parse a dataset CSV; malformed rows become per-line errors, never a file abort.
 
-    The header row must match the documented schema exactly.  The reader reads every
-    record whole, and a bare CR ends a line as in a universal-newline read.  A record
-    holding a cell over 131 072 characters, or a NUL anywhere, is one row error on every
-    Python.  Each row error names the physical line its record starts on.
+    The header row must match the documented schema exactly.  CR LF and a bare CR read as
+    LF, quoted cells included, and the reader reads every record whole.  A record holding
+    a cell over 131 072 characters, or a NUL anywhere, is one row error on every Python.
+    Each row error names the physical line its record starts on.
     """
-    csv_text = csv_text.replace("\0", _NUL)
-    reader = csv.reader(io.StringIO(csv_text, newline=""))
+    csv_text = csv_text.replace("\0", _NUL).replace("\r\n", "\n").replace("\r", "\n")
+    reader = csv.reader(io.StringIO(csv_text))
     with _FIELD_LIMIT_LOCK:  # no cell of the text reaches this limit, so the reader never fails
         limit = csv.field_size_limit(len(csv_text) + 1)
         try:
@@ -244,6 +244,8 @@ def _evaluate_row(
 def _moments(ratios: list[float]) -> tuple[float, float | None]:
     """Mean and sample STD (n-1; None for one ratio) from one set of exact integer sums.
 
+    Each ratio x becomes the exact integer x * 2**k, 2**k being the largest denominator of
+    the ratios' ``as_integer_ratio()``.
     The mean is the exact sum rounded once, then divided by n; the STD's root is rounded
     to odd at 109 bits, then to a float, as in CPython 3.11's ``stdev``.
     """
@@ -252,17 +254,9 @@ def _moments(ratios: list[float]) -> tuple[float, float | None]:
         special = [x for x in ratios if not math.isfinite(x)]
         if special:  # one infinity is the mean; infinities of both signs, or a nan, give nan
             return sum(special), math.nan if n >= 2 else None
-    small = min(map(abs, ratios)) or min([abs(x) for x in ratios if x], default=1.0)
-    # no float of magnitude at least small has a bit below 2**(e - 53), e being small's exponent
-    k = max(0, 53 - math.frexp(small)[1])
-    if k < 1024 and math.frexp(max(map(abs, ratios)))[1] + k <= 1024:
-        # x * 2.0**k is an integer and finite, so the product is exact
-        scale = 2.0**k
-        xs = [int(x * scale) for x in ratios]
-    else:  # 2**k, or the largest ratio scaled by it, lies beyond the float range
-        pairs = [x.as_integer_ratio() for x in ratios]
-        k = max(d for _, d in pairs).bit_length() - 1
-        xs = [p << (k + 1 - d.bit_length()) for p, d in pairs]
+    pairs = [x.as_integer_ratio() for x in ratios]
+    k = max(d for _, d in pairs).bit_length() - 1
+    xs = [p << (k + 1 - d.bit_length()) for p, d in pairs]
     sx = sum(xs)
     try:  # an int-by-int quotient is correctly rounded
         mean = sx / (1 << k) / n

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib.util
 import json
 import math
 import tempfile
@@ -542,6 +543,20 @@ def test_batch_on_any_cells_exits_0_with_strict_json(replacements, method):
         summary = _strict_json(summary_out.read_text(encoding="utf-8"))
         assert "\0" not in rows_out.read_text(encoding="utf-8")
     assert summary["n_rows"] + len(summary["row_errors"]) <= len(rows)
+
+
+def test_batch_on_the_adversarial_file_gives_its_pinned_outcome(tmp_path):
+    # the outcome that tools/ci_checks.py cross-interpreter holds every interpreter to
+    spec = importlib.util.spec_from_file_location(
+        "ci_checks", Path(__file__).parent.parent / "tools" / "ci_checks.py")
+    ci_checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ci_checks)
+    source, summary = tmp_path / "adversarial.csv", tmp_path / "summary.json"
+    source.write_text(ci_checks.ADVERSARIAL, encoding="utf-8")
+    assert main(["batch", "--input", str(source), "--out", str(tmp_path / "rows.csv"),
+                 "--summary-out", str(summary)]) == 0
+    outcome = ci_checks.adversarial_outcome(summary.read_text(encoding="utf-8"))
+    assert outcome == ci_checks.ADVERSARIAL_OUTCOME
 
 
 def test_predict_gives_the_batch_loads_of_every_golden_row(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import math
 import pickle
 import random
@@ -237,12 +238,44 @@ class TestParse:
                                  RowError(3, "expected 11 columns, got 12"))
 
     def test_bare_cr_ends_a_line(self):
-        # as the CLI's universal-newline read ends it, with one message on every Python
+        # as a universal-newline read ends it, with one message on every Python
         text = "a\rb,100,5,300,300,450,200000,30,CYL150,20,650\rbad,100,5\n" + self.OK_ROW
         parsed = parse_dataset(HEADER + "\n" + text + "\n")
         assert [r.source_id for r in parsed.records] == ["b", "ok"]
         assert parsed.errors == (RowError(2, "expected 11 columns, got 1"),
                                  RowError(4, "expected 11 columns, got 3"))
+
+    # (line end, quoted line break): CR LF files, and a bare CR inside the quotes
+    LINE_BREAKS = pytest.mark.parametrize("end, brk", [("\r\n", "\r\n"), ("\n", "\r"), ("\r", "\r")],
+                                          ids=["crlf", "bare-cr-in-lf", "bare-cr"])
+
+    def _quoted_break_text(self, end, brk):
+        return end.join([HEADER, '"a' + brk + 'b"' + self.OK_ROW[2:],
+                         "bad,100,50,300,300,,,30,,,650", self.OK_ROW]) + end
+
+    @LINE_BREAKS
+    def test_quoted_line_break_reads_as_lf(self, end, brk):
+        parsed = parse_dataset(self._quoted_break_text(end, brk))
+        assert [r.source_id for r in parsed.records] == ["a\nb", "ok"]
+        assert parsed.errors == (
+            RowError(4, "D=100 mm and t=50 mm leave no concrete core (need D > 2t)"),)
+
+    @LINE_BREAKS
+    def test_batch_reads_the_records_and_lines_parse_dataset_reads(self, tmp_path, end, brk):
+        from cfstcol.cli import main
+
+        text = self._quoted_break_text(end, brk)
+        source, rows, summary = (tmp_path / name for name in ("in.csv", "rows.csv", "s.json"))
+        source.write_bytes(text.encode("utf-8"))
+        assert main(["batch", "--method", "aci", "--input", str(source), "--out", str(rows),
+                     "--summary-out", str(summary)]) == 0
+        parsed = parse_dataset(text)
+        got = json.loads(summary.read_text(encoding="utf-8"))
+        assert got["n_rows"] == len(parsed.records)
+        assert got["row_errors"] == [{"line": e.line, "message": e.message} for e in parsed.errors]
+        written = rows.read_text(encoding="utf-8")
+        for i, r in enumerate(parsed.records):  # the source_id echoed as the library reads it
+            assert f"\n{i},{r.source_id},{r.D!r}," in written
 
     def test_field_size_limit_is_the_same_after_every_parse(self):
         # the 131 072-character rule holds whatever the caller's own limit

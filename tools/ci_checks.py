@@ -64,6 +64,25 @@ ADVERSARIAL = "\ufeff" + "\n".join([
     '"' + "x" * 200_000 + '\nphantom",100,5,300,300,450,200000,30,CYL150,20,650',
     "ok_after,100,5,300,300,450,200000,30,CYL150,20,650",
 ]) + "\n"
+# the records and row errors of its batch summary, the same under every interpreter
+ADVERSARIAL_OUTCOME = {
+    "n_rows": 7,
+    "row_errors": [{"line": line, "message": message} for line, message in [
+        (3, "unreadable record: field larger than field limit (131072)"),
+        (4, "unreadable record: line contains NUL"),
+        (5, "measured_strength must be finite, got nan"),
+        (6, "L must be finite, got inf"),
+        (14, "unreadable record: line contains NUL"),
+        (16, "D=100 mm and t=50 mm leave no concrete core (need D > 2t)"),
+        (17, "unreadable record: field larger than field limit (131072)"),
+    ]],
+}
+
+
+def adversarial_outcome(summary_text: str) -> dict:
+    """The entries of a batch summary's JSON text that ADVERSARIAL_OUTCOME pins."""
+    summary = json.loads(summary_text)
+    return {key: summary[key] for key in ADVERSARIAL_OUTCOME}
 
 
 def _src_env() -> dict:
@@ -196,9 +215,9 @@ def _pyenv_pythons() -> list[Path]:
 
 
 def cross_interpreter(command: list[str] | None) -> bool:
-    """Under every pyenv interpreter, the batch on the golden input gives the goldens, and
-    the batch on each seed-1 fixture and on the adversarial file exits 0 and gives the same
-    bytes as under the oldest one."""
+    """Under every pyenv interpreter, the batch on the golden input gives the goldens, the
+    batch on each seed-1 fixture and on the adversarial file exits 0 and gives the same
+    bytes as under the oldest one, and the adversarial file gives ADVERSARIAL_OUTCOME."""
     pythons = _pyenv_pythons()
     if not pythons:
         print("cross-interpreter: skipped, no pyenv interpreter from 3.10 on")
@@ -230,6 +249,10 @@ def cross_interpreter(command: list[str] | None) -> bool:
                 if outputs is None:
                     ok = False
                     continue
+                if name == "adversarial" and adversarial_outcome(outputs[1]) != ADVERSARIAL_OUTCOME:
+                    print(f"cross-interpreter: adversarial outcome under Python {version}: "
+                          f"{adversarial_outcome(outputs[1])}")
+                    ok = False
                 reference = first.setdefault(name, outputs)
                 if outputs != reference:
                     print(f"cross-interpreter: {name} outputs under Python {version} differ from "
