@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
 Subcommands: predict (all thirteen capacity methods on one column), curve
-(steel or confined-concrete stress-strain CSV), cdpm (FE material card),
+steel and curve concrete (stress-strain CSV), cdpm (FE material card),
 respond (fiber axial load-strain CSV), batch (dataset CSV in, per-row CSV
 plus JSON statistics out).  Loads are reported in kN at 0.1 kN resolution.
 
@@ -37,25 +37,27 @@ def _run_config(settings: PredictionSettings, Ec_override: float | None) -> dict
     }
 
 
-def _add_column_args(parser: argparse.ArgumentParser) -> None:
+def _add_column_args(parser: argparse.ArgumentParser,
+                     names: str = "D t L fy fu Es fc fc-kind dmax ec") -> None:
+    """Declare the column flags ``--name`` for each of ``names``: those the subcommand reads."""
     from .section import SpecimenKind
 
+    flags = {
+        "D": dict(type=float, required=True, help="outer diameter (mm)"),
+        "t": dict(type=float, required=True, help="wall thickness (mm)"),
+        "L": dict(type=float, required=True, help="column length (mm)"),
+        "fy": dict(type=float, required=True, help="steel yield strength (MPa)"),
+        "fu": dict(type=float, help="steel ultimate strength (MPa); defaults to max(1.25*fy, fy+50)"),
+        "Es": dict(type=float, help="steel modulus (MPa); defaults to 200000"),
+        "fc": dict(type=float, required=True, help="measured concrete strength (MPa)"),
+        "fc-kind": dict(choices=[k.value.lower() for k in SpecimenKind], default="cyl150",
+                        help="specimen shape of --fc (default cyl150)"),
+        "dmax": dict(type=float, help="max aggregate size (mm); defaults to 20"),
+        "ec": dict(type=float, help="concrete modulus override (MPa)"),
+    }
     g = parser.add_argument_group("column")
-    g.add_argument("--D", type=float, required=True, help="outer diameter (mm)")
-    g.add_argument("--t", type=float, required=True, help="wall thickness (mm)")
-    g.add_argument("--L", type=float, required=True, help="column length (mm)")
-    g.add_argument("--fy", type=float, required=True, help="steel yield strength (MPa)")
-    g.add_argument("--fu", type=float, help="steel ultimate strength (MPa); defaults to max(1.25*fy, fy+50)")
-    g.add_argument("--Es", type=float, help="steel modulus (MPa); defaults to 200000")
-    g.add_argument("--fc", type=float, required=True, help="measured concrete strength (MPa)")
-    g.add_argument(
-        "--fc-kind",
-        choices=[k.value.lower() for k in SpecimenKind],
-        default="cyl150",
-        help="specimen shape of --fc (default cyl150)",
-    )
-    g.add_argument("--dmax", type=float, help="max aggregate size (mm); defaults to 20")
-    g.add_argument("--ec", type=float, help="concrete modulus override (MPa)")
+    for name in names.split():
+        g.add_argument(f"--{name}", **flags[name])
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -85,8 +87,9 @@ def _settings(args: argparse.Namespace) -> PredictionSettings:
 def _build_column(args: argparse.Namespace) -> tuple[ColumnSpec, ConvertedStrength]:
     from .section import SpecimenKind, column_from_inputs
 
-    return column_from_inputs(args.D, args.t, args.L, args.fy, args.fu, args.Es, args.fc,
-                              SpecimenKind(args.fc_kind.upper()), args.dmax, args.ec)
+    get = vars(args).get  # an optional flag the subcommand does not take is None: its default
+    return column_from_inputs(args.D, args.t, args.L, args.fy, get("fu"), get("Es"), args.fc,
+                              SpecimenKind(args.fc_kind.upper()), get("dmax"), args.ec)
 
 
 def _parse_methods(spec: str) -> tuple[MethodId, ...]:
@@ -137,10 +140,6 @@ def _json(payload: dict) -> str:
     return json.dumps(finite(payload), indent=2, allow_nan=False) + "\n"
 
 
-def _kN(newtons: float) -> float:
-    return round(newtons / 1e3, 1)
-
-
 def _cell(value: float, spec: str = "%.1f") -> str:
     """``spec % value`` below 1e16 in magnitude; beyond, where every float is an integer,
     the repr, which reads back exactly in at most 24 characters (nan and inf as before)."""
@@ -157,7 +156,7 @@ def _prediction_dicts(predictions: list[CapacityPrediction]) -> list[dict]:
     return [
         {
             "method": p.method.value,
-            "Nu_kN": _kN(p.N_u),
+            "Nu_kN": round(p.N_u / 1e3, 1),
             "applicable": p.applicability.applicable,
             "violations": [list(v) for v in p.applicability.violations],
             "intermediates": p.intermediates,
@@ -204,7 +203,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             viols = _violations_text(p).replace('"', "'")
             diags = "; ".join(p.diagnostics).replace('"', "'")
             lines.append(
-                f'{p.method.value},{_cell(_kN(p.N_u))},{str(p.applicability.applicable).lower()},"{viols}","{diags}"'
+                f'{p.method.value},{_cell(p.N_u / 1e3)},{str(p.applicability.applicable).lower()},"{viols}","{diags}"'
             )
     else:
         lines.append(f"{'method':<12} {'Nu_kN':>10}  {'applicable':<10} notes")
@@ -217,7 +216,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
                     " ".join(f"{k}={v:.4g}" for k, v in p.intermediates.items())
                 )
             mark = "yes" if p.applicability.applicable else "no"
-            lines.append(f"{p.method.value:<12} {_cell(_kN(p.N_u)):>10}  {mark:<10} {' | '.join(notes)}")
+            lines.append(f"{p.method.value:<12} {_cell(p.N_u / 1e3):>10}  {mark:<10} {' | '.join(notes)}")
         if column.defaulted:
             lines.append(f"defaulted inputs: {', '.join(column.defaulted)}")
         for flag in column.validity_flags:
@@ -228,15 +227,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     from .materials import sample_concrete_curve, sample_steel_curve
+    from .section import SteelMaterial
 
-    column, _ = _build_column(args)
-    if args.n < 2:
-        raise ValueError("--n must be at least 2")
     if args.material == "steel":
-        curve = sample_steel_curve(column.steel, args.n, args.eps_max)
+        curve = sample_steel_curve(SteelMaterial(args.fy, args.fu, args.Es), args.n, args.eps_max)
     else:
-        eps_max = args.eps_max if args.eps_max is not None else 0.03
-        curve = sample_concrete_curve(column, args.n, eps_max)
+        curve = sample_concrete_curve(_build_column(args)[0], args.n, args.eps_max)
     lines = ["strain,stress_MPa"]
     lines.extend(f"{eps:.10g},{sigma:.10g}" for eps, sigma in curve.points)
     _write("\n".join(lines) + "\n", args.out)
@@ -260,7 +256,7 @@ def _cmd_respond(args: argparse.Namespace) -> int:
     lines.extend(f"{eps:.10g},{_cell(load / 1e3)}" for eps, load in response.points)
     _write("\n".join(lines) + "\n", args.out)
     print(
-        f"peak {_cell(_kN(response.peak_load))} kN at strain {response.peak_strain:.6g}",
+        f"peak {_cell(response.peak_load / 1e3)} kN at strain {response.peak_strain:.6g}",
         file=sys.stderr,
     )
     return 0
@@ -313,8 +309,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             ]
             diagnostics = []
             for method, N_u, report, _, diags in row.predictions:
-                # _cell(N_u / 1e3) is _cell(_kN(N_u)), and report.violations is
-                # report.applicable negated, without the property call
+                # report.violations is report.applicable negated, without the property call
                 cells += [_cell(N_u / 1e3), "false" if report.violations else "true"]
                 if diags:
                     diagnostics += [f"{method._value_}: {d}" for d in diags]
@@ -346,19 +341,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="all", help="all or comma-separated method ids")
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("curve", help="stress-strain curve CSV")
-    _add_column_args(p)
-    p.add_argument("--material", choices=["steel", "concrete"], required=True)
-    p.add_argument("--n", type=int, default=200, help="number of samples (>= 2)")
-    p.add_argument("--eps-max", type=float, help="last strain (default: steel eps_u / 0.03)")
-    p.set_defaults(func=_cmd_curve)
+    materials = sub.add_parser("curve", help="stress-strain curve CSV").add_subparsers(
+        dest="material", required=True)
+    for material, names, eps_max in (("steel", "fy fu Es", None),
+                                     ("concrete", "D t L fy fc fc-kind ec", 0.03)):
+        p = materials.add_parser(material, help=f"{material} stress-strain curve CSV")
+        _add_column_args(p, names)
+        p.add_argument("--n", type=int, default=200, help="number of samples (>= 2)")
+        p.add_argument("--eps-max", type=float, default=eps_max,
+                       help=f"last strain (default {eps_max or 'the ultimate strain eps_u'})")
+        p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("cdpm", help="plasticity material card")
     _add_column_args(p)
     p.set_defaults(func=_cmd_cdpm)
 
     p = sub.add_parser("respond", help="fiber axial load-strain curve CSV")
-    _add_column_args(p)
+    _add_column_args(p, "D t L fy fu Es fc fc-kind ec")
     p.add_argument("--n", type=int, default=200, help="number of samples (>= 8)")
     p.add_argument("--eps-max", type=float, default=0.03)
     p.set_defaults(func=_cmd_respond)
@@ -371,8 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary-out", help="write the JSON summary here (default: stderr)")
     p.set_defaults(func=_cmd_batch)
 
-    for p in sub.choices.values():
-        p.add_argument("--out", help="write to this file instead of stdout")
+    for p in (*sub.choices.values(), *materials.choices.values()):
+        if p.get_default("func"):  # a parser that runs a command, not the curve dispatcher
+            p.add_argument("--out", help="write to this file instead of stdout")
 
     return parser
 

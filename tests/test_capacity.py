@@ -613,6 +613,10 @@ class TestRegistry:
         for method in (MethodId.EC4, MethodId.AISC, MethodId.CISC, MethodId.DE_OLIVEIRA):
             assert predict(column, method, settings).N_u != predict(column, method).N_u
 
+    def test_predict_rejects_an_unknown_method(self, r1):
+        with pytest.raises(ValueError, match="^unknown method: 'bogus'$"):
+            predict(r1, "bogus")
+
 
 class TestArithmeticFailure:
     """A formula that overflows reports nan and a diagnostic for its method alone."""

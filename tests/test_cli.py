@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cfstcol import MethodId, OliveiraMode, evaluate_dataset, parse_dataset, predict, response_curve
 from cfstcol.capacity import ARITHMETIC_ERROR
-from cfstcol.cli import OLIVEIRA_MODES, _cell, _kN, build_parser, main
+from cfstcol.cli import OLIVEIRA_MODES, _cell, build_parser, main
 from cfstcol.dataset import CSV_HEADER
 
 from conftest import build_column
@@ -21,6 +21,17 @@ GOLDEN = Path(__file__).parent / "golden"
 
 R1_ARGS = ["--D", "100", "--t", "5", "--L", "300", "--fy", "300", "--fu", "450",
            "--Es", "200000", "--fc", "30"]
+# the column flags that a single-column subcommand does not take, since its output
+# does not depend on them
+NOT_TAKEN = {("curve", "steel"): ("--D", "--t", "--L", "--fc", "--fc-kind", "--dmax", "--ec"),
+             ("curve", "concrete"): ("--fu", "--Es", "--dmax"), ("respond",): ("--dmax",)}
+
+
+def taken(command, column):
+    """The flag-value pairs of ``column`` that the subcommand ``command`` takes."""
+    skip = NOT_TAKEN.get(tuple(command), ())
+    return [arg for flag, value in zip(column[::2], column[1::2]) if flag not in skip
+            for arg in (flag, value)]
 
 
 def run(capsys, argv):
@@ -81,6 +92,17 @@ class TestPredict:
             "method,Nu_kN,applicable,violations,diagnostics",
         ]
 
+    @pytest.mark.parametrize("command,prefix", [(["predict"], "validity: "),
+                                                (["cdpm"], "# validity: ")])
+    def test_table_and_card_write_validity_flags(self, capsys, command, prefix):
+        code, out, _ = run(capsys, [*command, "--D", "100", "--t", "5", "--L", "300",
+                                    "--fy", "900", "--fc", "200"])
+        assert code == 0
+        assert [line for line in out.splitlines() if "validity" in line] == [
+            f"{prefix}f_y=900 MPa outside steel model range [200, 800] MPa",
+            f"{prefix}f_c=200 MPa outside database range [12.5, 185.6] MPa",
+        ]
+
     def test_defaulted_inputs_marked(self, capsys):
         _, out, _ = run(capsys, ["predict", "--D", "100", "--t", "5", "--L", "300",
                                  "--fy", "300", "--fc", "30", "--method", "aci"])
@@ -120,19 +142,21 @@ class TestPredict:
 
 class TestCurve:
     def test_steel_two_points(self, capsys):
-        code, out, _ = run(capsys, ["curve", *R1_ARGS, "--material", "steel",
+        code, out, _ = run(capsys, ["curve", "steel", *taken(["curve", "steel"], R1_ARGS),
                                     "--n", "2", "--eps-max", "0.0015"])
         assert code == 0
         assert out.splitlines() == ["strain,stress_MPa", "0,0", "0.0015,300"]
 
     def test_concrete_peak_row_present(self, capsys):
-        code, out, _ = run(capsys, ["curve", *R1_ARGS, "--material", "concrete"])
+        code, out, _ = run(capsys, ["curve", "concrete", *taken(["curve", "concrete"], R1_ARGS)])
         assert code == 0
         assert "0.0018897,30" in out.splitlines()
 
     def test_n_too_small_exits_2(self, capsys):
-        code, _, _ = run(capsys, ["curve", *R1_ARGS, "--material", "steel", "--n", "1"])
+        code, _, err = run(capsys, ["curve", "steel", *taken(["curve", "steel"], R1_ARGS),
+                                    "--n", "1"])
         assert code == 2
+        assert err == "error: need at least two samples\n"
 
 
 class TestCdpm:
@@ -188,8 +212,8 @@ class TestRespond:
 @example(-50.0)
 @example(150.0)
 def test_batch_load_cell_matches_the_rounded_kn_value(newtons):
-    # the batch row loop writes N_u / 1e3 at .1f instead of _kN(N_u) at .1f
-    assert f"{newtons / 1e3:.1f}" == f"{_kN(newtons):.1f}"
+    # the text and CSV cells write N_u / 1e3 at .1f; JSON writes round(N_u / 1e3, 1)
+    assert f"{newtons / 1e3:.1f}" == f"{round(newtons / 1e3, 1):.1f}"
 
 
 def batch_fixture_text():
@@ -380,11 +404,10 @@ class TestBatch:
 class TestUnwritableOutput:
     """An output that cannot be opened is a usage error, found before any row is evaluated."""
 
-    @pytest.mark.parametrize("command", [["predict"], ["curve", "--material", "steel"],
-                                         ["cdpm"], ["respond"]])
+    @pytest.mark.parametrize("command", [["predict"], ["curve", "steel"], ["cdpm"], ["respond"]])
     def test_single_column_out_exits_2(self, capsys, tmp_path, command):
         target = tmp_path / "absent" / "out.txt"
-        code, out, err = run(capsys, [*command, *R1_ARGS, "--out", str(target)])
+        code, out, err = run(capsys, [*command, *taken(command, R1_ARGS), "--out", str(target)])
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: cannot write {target}: ")
@@ -438,7 +461,7 @@ class TestThickTube:
         assert len(table) >= 50
         assert all(math.isfinite(float(cell)) for line in table for cell in line.split())
 
-    @pytest.mark.parametrize("command", [["respond"], ["curve", "--material", "concrete"]])
+    @pytest.mark.parametrize("command", [["respond"], ["curve", "concrete"]])
     def test_curve_commands_succeed(self, capsys, command):
         code, out, err = run(capsys, [*command, *THICK_TUBE_ARGS])
         assert code == 0, err
@@ -709,8 +732,8 @@ class TestHugeValueCells:
     @example(9999999999999998.0 * 1e3)
     @example(1e19)
     def test_batch_load_cell_matches_the_rounded_kn_cell(self, newtons):
-        # the batch row loop writes the cell of N_u / 1e3 instead of that of _kN(N_u)
-        assert _cell(newtons / 1e3) == _cell(_kN(newtons))
+        # the text and CSV cell of N_u / 1e3 is that of the JSON's round(N_u / 1e3, 1)
+        assert _cell(newtons / 1e3) == _cell(round(newtons / 1e3, 1))
 
     def test_respond_cells_and_peak_line(self, capsys):
         code, out, err = run(capsys, ["respond", *self.HUGE])
@@ -818,10 +841,13 @@ class TestSummaryBeyondFloatRange:
 
 
 # flags that these subcommands would not read: each is a usage error
-REMOVED_FLAGS = [pytest.param(command, flag, value, id=f"{command[0]} {flag}")
-                 for command in (["curve", "--material", "steel"], ["cdpm"], ["respond"])
+REMOVED_FLAGS = [pytest.param(command, flag, value, id=f"{' '.join(command)} {flag}")
+                 for command in (["curve", "steel"], ["cdpm"], ["respond"])
                  for flag, value in (("--ke", "0.9"), ("--keff", "2"), ("--rcc", "3"),
                                      ("--oliveira-mode", "corrected"), ("--format", "json"))]
+REMOVED_FLAGS += [pytest.param(list(command), flag, "cube150" if flag == "--fc-kind" else "10",
+                               id=f"{' '.join(command)} {flag}")
+                  for command, flags in NOT_TAKEN.items() for flag in flags]
 REMOVED_FLAGS.append(pytest.param(["batch", "--input", "specimens.csv"], "--format", "json",
                                   id="batch --format"))
 
@@ -829,16 +855,24 @@ REMOVED_FLAGS.append(pytest.param(["batch", "--input", "specimens.csv"], "--form
 class TestUsage:
     @pytest.mark.parametrize("command,flag,value", REMOVED_FLAGS)
     def test_flag_the_subcommand_does_not_read_exits_2(self, capsys, command, flag, value):
-        column = R1_ARGS if command[0] != "batch" else []
+        column = taken(command, R1_ARGS) if command[0] != "batch" else []
         with pytest.raises(SystemExit) as exc:
             main([*command, *column, flag, value])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["curve", "--material", "concrete"], ["cdpm"], ["respond"]])
+    @pytest.mark.parametrize("material", ["steel", "concrete"])
+    def test_curve_material_flag_exits_2(self, capsys, material):
+        command = ["curve", "--material", material]
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *taken(["curve", material], R1_ARGS)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --material" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["curve", "concrete"], ["cdpm"], ["respond"]])
     def test_ec_override_changes_single_column_output(self, capsys, command):
-        _, plain, _ = run(capsys, [*command, *R1_ARGS])
-        code, stiff, err = run(capsys, [*command, *R1_ARGS, "--ec", "60000"])
+        _, plain, _ = run(capsys, [*command, *taken(command, R1_ARGS)])
+        code, stiff, err = run(capsys, [*command, *taken(command, R1_ARGS), "--ec", "60000"])
         assert code == 0, err
         assert stiff != plain
 
@@ -846,10 +880,17 @@ class TestUsage:
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("\n### Flags\n", 1)[1].split("\n#", 1)[0]
         listed = [line for line in section.splitlines() if line.startswith("- ")]
-        subparsers = next(a for a in build_parser()._actions
-                          if isinstance(a, argparse._SubParsersAction))
+
+        def commands(name, parser):
+            """Each command under ``parser`` (named ``name``) and the parser that runs it."""
+            subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subparsers:
+                yield name, parser
+            for sub in subparsers:
+                for child, subparser in sub.choices.items():
+                    yield from commands(f"{name} {child}".lstrip(), subparser)
         expected = []
-        for name, sub in subparsers.choices.items():
+        for name, sub in commands("", build_parser()):
             flags = [a.option_strings[-1] for a in sub._actions if a.option_strings[-1] != "--help"]
             expected.append(f"- `{name}`: " + ", ".join(f"`{flag}`" for flag in flags))
         assert listed == expected

@@ -84,6 +84,10 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_dataset("a,b,c\n1,2,3\n")
 
+    def test_empty_file_rejected(self):
+        with pytest.raises(ValueError, match="^empty file: missing header row$"):
+            parse_dataset("")
+
     def test_valid_row(self):
         text = HEADER + "\nA1,100,5,300,300,450,200000,30,CYL150,20,650\n"
         parsed = parse_dataset(text)

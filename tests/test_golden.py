@@ -21,7 +21,7 @@ import pytest
 
 from cfstcol.cli import main
 
-from test_cli import R1_ARGS
+from test_cli import R1_ARGS, taken
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -35,8 +35,8 @@ COLUMNS = {
 COMMANDS = {
     "respond": ["respond"],
     "cdpm": ["cdpm"],
-    "curve_steel": ["curve", "--material", "steel"],
-    "curve_concrete": ["curve", "--material", "concrete"],
+    "curve_steel": ["curve", "steel"],
+    "curve_concrete": ["curve", "concrete"],
     "predict_table": ["predict"],
     "predict_json": ["predict", "--format", "json"],
     "predict_csv": ["predict", "--format", "csv"],
@@ -46,7 +46,7 @@ COMMANDS = {
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("column", COLUMNS)
 def test_output_matches_golden_file(capsys, column, command):
-    assert main([*COMMANDS[command], *COLUMNS[column]]) == 0
+    assert main([*COMMANDS[command], *taken(COMMANDS[command], COLUMNS[column])]) == 0
     captured = capsys.readouterr()
     expected = (GOLDEN / f"{column}_{command}.txt").read_text(encoding="utf-8")
     assert captured.out + captured.err == expected

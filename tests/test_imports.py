@@ -17,7 +17,7 @@ import pytest
 
 import cfstcol
 
-from test_cli import R1_ARGS
+from test_cli import R1_ARGS, taken
 from test_golden import COMMANDS, GOLDEN
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -85,7 +85,7 @@ class TestImportGraph:
          {"materials", "cards", "response", "dataset", "csv", "json"}),
         (["predict", "--format", "json"], {"section", "capacity", "json"},
          {"materials", "cards", "response", "dataset", "csv"}),
-        (["curve", "--material", "concrete"], {"section", "materials"},
+        (["curve", "concrete"], {"section", "materials"},
          {"capacity", "cards", "response", "dataset", "csv", "json"}),
         (["respond"], {"section", "materials", "response"},
          {"capacity", "cards", "dataset", "csv", "json"}),
@@ -99,7 +99,7 @@ class TestImportGraph:
             args = ["--input", str(GOLDEN / "batch_input.csv"),
                     "--summary-out", str(tmp_path / "summary.json")]
         else:
-            args = R1_ARGS
+            args = taken(argv, R1_ARGS)
         argv = [*argv, *args, "--out", str(tmp_path / "out.txt")]
         loaded = loaded_by(f"from cfstcol.cli import main\nassert main({argv!r}) == 0")
 
@@ -110,7 +110,7 @@ class TestImportGraph:
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_module_entry_point_reproduces_the_golden_output(self, command):
-        done = fresh("-m", "cfstcol.cli", *COMMANDS[command], *R1_ARGS)
+        done = fresh("-m", "cfstcol.cli", *COMMANDS[command], *taken(COMMANDS[command], R1_ARGS))
         assert done.returncode == 0, done.stderr
         assert done.stdout + done.stderr == (GOLDEN / f"r1_{command}.txt").read_text(encoding="utf-8")
 
