@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .materials import cdpm_parameters, sample_concrete_curve
+from .materials import cdpm_parameters, confined_concrete_params, sample_concrete_curve
 from .section import ColumnSpec
 
 CONCRETE_POISSON = 0.2  # tool default, not derived
@@ -17,10 +17,11 @@ FE_DOC_CONSTANTS = "steel-concrete friction 0.6, initial imperfection L/1000, el
 def render_cdpm_card(column: ColumnSpec) -> str:
     """Render the plasticity material card for a column.
 
-    Sections: [ELASTIC] E_c and Poisson ratio; [CDPM] dilation angle,
-    eccentricity, f_b0/f_c, K_c, viscosity in that order; [COMPRESSION
-    TABLE] the sampled confined curve (strain, stress MPa); [TENSION] the
-    fracture energy G_f (N/mm).
+    The header holds the column's validity flags, then those of the confined
+    concrete curve that the table samples, each once.  Sections: [ELASTIC]
+    E_c and Poisson ratio; [CDPM] dilation angle, eccentricity, f_b0/f_c,
+    K_c, viscosity in that order; [COMPRESSION TABLE] the sampled confined
+    curve (strain, stress MPa); [TENSION] the fracture energy G_f (N/mm).
     """
     params = cdpm_parameters(column)
     curve = sample_concrete_curve(column, TABLE_POINTS, TABLE_EPS_MAX)
@@ -32,8 +33,9 @@ def render_cdpm_card(column: ColumnSpec) -> str:
     ]
     if column.defaulted:
         lines.append(f"# defaulted inputs: {', '.join(column.defaulted)}")
-    for flag in column.validity_flags:
-        lines.append(f"# validity: {flag}")
+    flags = column.validity_flags
+    flags += tuple(f for f in confined_concrete_params(column).flags if f not in flags)
+    lines += [f"# validity: {flag}" for flag in flags]
     lines += [
         f"# concrete Poisson {CONCRETE_POISSON:g} is a tool default",
         f"# FE modelling constants (documentation only): {FE_DOC_CONSTANTS}",

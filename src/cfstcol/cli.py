@@ -84,12 +84,18 @@ def _settings(args: argparse.Namespace) -> PredictionSettings:
     )
 
 
-def _build_column(args: argparse.Namespace) -> tuple[ColumnSpec, ConvertedStrength]:
+def _build_column(args: argparse.Namespace, L: float) -> tuple[ColumnSpec, ConvertedStrength]:
+    """The column that the flags describe, ``L`` long; the caller names where L comes from."""
     from .section import SpecimenKind, column_from_inputs
 
     get = vars(args).get  # an optional flag the subcommand does not take is None: its default
-    return column_from_inputs(args.D, args.t, args.L, args.fy, get("fu"), get("Es"), args.fc,
+    return column_from_inputs(args.D, args.t, L, args.fy, get("fu"), get("Es"), args.fc,
                               SpecimenKind(args.fc_kind.upper()), get("dmax"), args.ec)
+
+
+def _write_flags(flags: tuple[str, ...]) -> None:
+    """The model flags of a CSV output, as ``validity:`` lines on stderr."""
+    sys.stderr.write("".join(f"validity: {flag}\n" for flag in flags))
 
 
 def _parse_methods(spec: str) -> tuple[MethodId, ...]:
@@ -169,7 +175,7 @@ def _prediction_dicts(predictions: list[CapacityPrediction]) -> list[dict]:
 def _cmd_predict(args: argparse.Namespace) -> int:
     from .capacity import predict_all
 
-    column, converted = _build_column(args)
+    column, converted = _build_column(args, args.L)
     methods = _parse_methods(args.method)
     settings = _settings(args)
     predictions = predict_all(column, methods, settings)
@@ -226,31 +232,38 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    from .materials import sample_concrete_curve, sample_steel_curve
+    from .materials import (confined_concrete_params, sample_concrete_curve, sample_steel_curve,
+                            steel_curve_params)
     from .section import SteelMaterial
 
     if args.material == "steel":
-        curve = sample_steel_curve(SteelMaterial(args.fy, args.fu, args.Es), args.n, args.eps_max)
+        steel = SteelMaterial(args.fy, args.fu, args.Es)
+        curve = sample_steel_curve(steel, args.n, args.eps_max)
+        flags = steel_curve_params(steel).flags
     else:
-        curve = sample_concrete_curve(_build_column(args)[0], args.n, args.eps_max)
+        column, _ = _build_column(args, args.D)  # a stub length: the concrete curve reads none
+        curve = sample_concrete_curve(column, args.n, args.eps_max)
+        flags = confined_concrete_params(column).flags
     lines = ["strain,stress_MPa"]
     lines.extend(f"{eps:.10g},{sigma:.10g}" for eps, sigma in curve.points)
     _write("\n".join(lines) + "\n", args.out)
+    _write_flags(flags)
     return 0
 
 
 def _cmd_cdpm(args: argparse.Namespace) -> int:
     from .cards import render_cdpm_card
 
-    column, _ = _build_column(args)
+    column, _ = _build_column(args, args.L)
     _write(render_cdpm_card(column), args.out)
     return 0
 
 
 def _cmd_respond(args: argparse.Namespace) -> int:
+    from .materials import confined_concrete_params, steel_curve_params
     from .response import response_curve
 
-    column, _ = _build_column(args)
+    column, _ = _build_column(args, args.D)  # a stub length: the fiber response reads none
     response = response_curve(column, args.eps_max, args.n)
     lines = ["strain,N_kN"]
     lines.extend(f"{eps:.10g},{_cell(load / 1e3)}" for eps, load in response.points)
@@ -259,6 +272,7 @@ def _cmd_respond(args: argparse.Namespace) -> int:
         f"peak {_cell(response.peak_load / 1e3)} kN at strain {response.peak_strain:.6g}",
         file=sys.stderr,
     )
+    _write_flags(steel_curve_params(column.steel).flags + confined_concrete_params(column).flags)
     return 0
 
 
@@ -344,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     materials = sub.add_parser("curve", help="stress-strain curve CSV").add_subparsers(
         dest="material", required=True)
     for material, names, eps_max in (("steel", "fy fu Es", None),
-                                     ("concrete", "D t L fy fc fc-kind ec", 0.03)):
+                                     ("concrete", "D t fy fc fc-kind ec", 0.03)):
         p = materials.add_parser(material, help=f"{material} stress-strain curve CSV")
         _add_column_args(p, names)
         p.add_argument("--n", type=int, default=200, help="number of samples (>= 2)")
@@ -357,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cdpm)
 
     p = sub.add_parser("respond", help="fiber axial load-strain curve CSV")
-    _add_column_args(p, "D t L fy fu Es fc fc-kind ec")
+    _add_column_args(p, "D t fy fu Es fc fc-kind ec")
     p.add_argument("--n", type=int, default=200, help="number of samples (>= 8)")
     p.add_argument("--eps-max", type=float, default=0.03)
     p.set_defaults(func=_cmd_respond)
@@ -373,13 +387,16 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (*sub.choices.values(), *materials.choices.values()):
         if p.get_default("func"):  # a parser that runs a command, not the curve dispatcher
             p.add_argument("--out", help="write to this file instead of stdout")
+            p.set_defaults(parser=p)  # which reports a flag it does not take
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # under the usage line of the subcommand given them, not the top-level one
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except ValueError as exc:

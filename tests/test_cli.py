@@ -1,6 +1,7 @@
 import argparse
 import csv
 import importlib.util
+import itertools
 import json
 import math
 import tempfile
@@ -24,7 +25,15 @@ R1_ARGS = ["--D", "100", "--t", "5", "--L", "300", "--fy", "300", "--fu", "450",
 # the column flags that a single-column subcommand does not take, since its output
 # does not depend on them
 NOT_TAKEN = {("curve", "steel"): ("--D", "--t", "--L", "--fc", "--fc-kind", "--dmax", "--ec"),
-             ("curve", "concrete"): ("--fu", "--Es", "--dmax"), ("respond",): ("--dmax",)}
+             ("curve", "concrete"): ("--L", "--fu", "--Es", "--dmax"),
+             ("respond",): ("--L", "--dmax")}
+
+
+# the flags of the steel curve at f_y = f_u = 900 MPa, and of the concrete curve above 105 MPa
+STEEL_FLAGS = ("f_y=900 MPa outside steel model range [200, 800] MPa",
+               "hardening strains extrapolated beyond 800 MPa",
+               "f_u equals f_y; hardening stage degenerates to a plateau")
+FIT_FLAG = "peak-strain regression fitted for f_c in [6, 105] MPa"
 
 
 def taken(command, column):
@@ -92,15 +101,17 @@ class TestPredict:
             "method,Nu_kN,applicable,violations,diagnostics",
         ]
 
-    @pytest.mark.parametrize("command,prefix", [(["predict"], "validity: "),
-                                                (["cdpm"], "# validity: ")])
-    def test_table_and_card_write_validity_flags(self, capsys, command, prefix):
+    # the card adds the flag of the concrete curve it tabulates
+    @pytest.mark.parametrize("command,prefix,curve_flags", [(["predict"], "validity: ", []),
+                                                            (["cdpm"], "# validity: ", [FIT_FLAG])])
+    def test_table_and_card_write_validity_flags(self, capsys, command, prefix, curve_flags):
         code, out, _ = run(capsys, [*command, "--D", "100", "--t", "5", "--L", "300",
                                     "--fy", "900", "--fc", "200"])
         assert code == 0
         assert [line for line in out.splitlines() if "validity" in line] == [
             f"{prefix}f_y=900 MPa outside steel model range [200, 800] MPa",
             f"{prefix}f_c=200 MPa outside database range [12.5, 185.6] MPa",
+            *(prefix + flag for flag in curve_flags),
         ]
 
     def test_defaulted_inputs_marked(self, capsys):
@@ -186,7 +197,7 @@ class TestCdpm:
 
 class TestRespond:
     def test_curve_and_summary(self, capsys):
-        code, out, err = run(capsys, ["respond", *R1_ARGS])
+        code, out, err = run(capsys, ["respond", *taken(["respond"], R1_ARGS)])
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "strain,N_kN"
@@ -196,8 +207,37 @@ class TestRespond:
         assert 609.9 <= peak <= 832.8
 
     def test_zero_eps_max_exits_2(self, capsys):
-        code, _, _ = run(capsys, ["respond", *R1_ARGS, "--eps-max", "0"])
+        code, _, _ = run(capsys, ["respond", *taken(["respond"], R1_ARGS), "--eps-max", "0"])
         assert code == 2
+
+
+class TestModelFlags:
+    """Each flag of the models a subcommand samples is one line: ``validity:`` on stderr
+    after the CSV subcommands' output, ``# validity:`` in the card."""
+
+    @pytest.mark.parametrize("argv,card_lines,err_lines", [
+        (["respond", "--D", "100", "--t", "5", "--fy", "900", "--fu", "900", "--fc", "30"], [],
+         ["peak 1533.9 kN at strain 0.00465319", *(f"validity: {f}" for f in STEEL_FLAGS)]),
+        (["curve", "steel", "--fy", "900", "--fu", "900"], [],
+         [f"validity: {f}" for f in STEEL_FLAGS]),
+        (["curve", "concrete", "--D", "100", "--t", "5", "--fy", "900", "--fc", "120"], [],
+         [f"validity: {FIT_FLAG}"]),
+        (["cdpm", "--D", "100", "--t", "5", "--L", "300", "--fy", "300", "--fc", "120"],
+         [f"# validity: {FIT_FLAG}"], []),
+    ], ids=["respond", "curve steel", "curve concrete", "cdpm"])
+    def test_each_model_flag_is_one_line(self, capsys, argv, card_lines, err_lines):
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        assert [line for line in out.splitlines() if "validity" in line] == card_lines
+        assert err.splitlines() == err_lines
+
+    @pytest.mark.parametrize("command", [["respond"], ["curve", "steel"], ["curve", "concrete"],
+                                         ["cdpm"]])
+    def test_an_unflagged_column_gains_no_line(self, capsys, command):
+        code, out, err = run(capsys, [*command, *taken(command, R1_ARGS)])
+        assert code == 0, err
+        assert "validity" not in out + err
+        assert len(err.splitlines()) == (command == ["respond"])  # respond's peak line alone
 
 
 @given(st.floats())
@@ -463,7 +503,7 @@ class TestThickTube:
 
     @pytest.mark.parametrize("command", [["respond"], ["curve", "concrete"]])
     def test_curve_commands_succeed(self, capsys, command):
-        code, out, err = run(capsys, [*command, *THICK_TUBE_ARGS])
+        code, out, err = run(capsys, [*command, *taken(command, THICK_TUBE_ARGS)])
         assert code == 0, err
         assert all(math.isfinite(float(cell)) for line in out.splitlines()[1:]
                    for cell in line.split(","))
@@ -491,7 +531,7 @@ class TestNonFiniteInputs:
         assert "L must be finite" in err
 
     def test_respond_nan_eps_max_exits_2_with_a_clear_message(self, capsys):
-        code, _, err = run(capsys, ["respond", *R1_ARGS, "--eps-max", "nan"])
+        code, _, err = run(capsys, ["respond", *taken(["respond"], R1_ARGS), "--eps-max", "nan"])
         assert code == 2
         assert "eps_max must be finite" in err
         assert "integer" not in err
@@ -693,8 +733,8 @@ class TestHugeFiniteInputs:
         assert "A_c*f_c must be positive" in rows[1]
 
     def test_respond_overflow_is_still_a_usage_error(self, capsys):
-        code, out, err = run(capsys, ["respond", "--D", "100", "--t", "5", "--L", "300",
-                                      "--fy", "300", "--fc", "1e-70"])
+        code, out, err = run(capsys, ["respond", "--D", "100", "--t", "5", "--fy", "300",
+                                      "--fc", "1e-70"])
         assert code == 2
         assert out == ""
         assert err.startswith("error: OverflowError")
@@ -736,7 +776,7 @@ class TestHugeValueCells:
         assert _cell(newtons / 1e3) == _cell(round(newtons / 1e3, 1))
 
     def test_respond_cells_and_peak_line(self, capsys):
-        code, out, err = run(capsys, ["respond", *self.HUGE])
+        code, out, err = run(capsys, ["respond", *taken(["respond"], self.HUGE)])
         assert code == 0, err
         response = response_curve(build_column(1e80, 1.0, 300.0, 300.0, 30.0), 0.03)
         cells = [line.split(",")[1] for line in out.splitlines()[1:]]
@@ -859,7 +899,11 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([*command, *column, flag, value])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # reported by the subcommand under its own usage line, not by the top-level parser
+        words = " ".join(itertools.takewhile(lambda word: not word.startswith("-"), command))
+        assert err.startswith(f"usage: cfstcol {words} [-h]")
+        assert err.endswith(f"cfstcol {words}: error: unrecognized arguments: {flag} {value}\n")
 
     @pytest.mark.parametrize("material", ["steel", "concrete"])
     def test_curve_material_flag_exits_2(self, capsys, material):

@@ -3,13 +3,16 @@
 The files under ``golden/`` hold stdout followed by stderr of ``respond``,
 ``cdpm``, ``curve`` (steel and concrete) and ``predict`` (table, json and
 csv) for the reference column R1, a high-strength cube-tested column with a 10 mm
-aggregate, and two columns that between them break every applicability
-limit on every side it has: a thin, low-strength, squat tube and a thick,
-high-strength, slender one.  ``batch_input.csv`` is a hand-written dataset
-covering every ``fc_kind`` spelling, empty optional cells, a strength that
-cannot be converted, each kind of row error and rows that fire every
-diagnostic; ``batch --method all`` on it must reproduce ``batch_all_rows.csv``
-and ``batch_all_summary.json``.  Any change to the curve arithmetic, the
+aggregate, two columns that between them break every applicability
+limit on every side it has (a thin, low-strength, squat tube and a thick,
+high-strength, slender one), and a column whose f_y = f_u = 900 MPa and
+f_c = 120 MPa raise every flag of the steel curve and the peak-strain
+regression, so that the ``validity:`` lines are pinned too.
+``batch_input.csv`` is a hand-written dataset covering every ``fc_kind``
+spelling, empty optional cells, a strength that cannot be converted, each
+kind of row error and rows that fire every diagnostic; ``batch --method
+all`` on it must reproduce ``batch_all_rows.csv`` and
+``batch_all_summary.json``.  Any change to the curve arithmetic, the
 sampling grid, the number formatting or the applicability gating (its
 limit texts, bounds and actual values at full ``repr`` precision) shows up
 here as a byte difference.
@@ -31,6 +34,8 @@ COLUMNS = {
                  "--fc-kind", "cube150", "--dmax", "10"],
     "thin_squat": ["--D", "540", "--t", "2", "--L", "270", "--fy", "200", "--fc", "15"],
     "thick_slender": ["--D", "200", "--t", "20", "--L", "2400", "--fy", "600", "--fc", "80"],
+    "flagged": ["--D", "100", "--t", "5", "--L", "300", "--fy", "900", "--fu", "900",
+                "--fc", "120"],
 }
 COMMANDS = {
     "respond": ["respond"],

@@ -9,12 +9,13 @@ from cfstcol import (
     confined_concrete_params,
     peak_load,
     response_curve,
+    sample_concrete_curve,
     steel_curve_params,
     steel_stress,
 )
 
 from conftest import build_column
-from test_materials import _envelope
+from test_materials import _envelope, bits
 
 approx = pytest.approx
 
@@ -157,3 +158,26 @@ class TestResponsePeak:
     def test_fields(self):
         assert issubclass(AxialResponse, tuple)
         assert AxialResponse._fields == ("points", "peak_load", "peak_strain", "residual_load")
+
+
+class TestLengthIndependence:
+    """Neither the fiber response nor the concrete curve reads L, so ``respond`` and
+    ``curve concrete`` build their column with a stub length."""
+
+    @given(D=_envelope("D"), dt=_envelope("D/t"),
+           lengths=st.lists(st.floats(1e-3, 1e9), min_size=2, max_size=2),
+           fy=_envelope("f_y"), fc=_envelope("f_c"),
+           hardening=st.one_of(st.none(), st.floats(1.0, 1.6)), unconfined=st.booleans(),
+           eps_max=st.floats(1e-4, 0.2), n=st.integers(8, 300))
+    def test_columns_that_differ_only_in_length_give_the_same_bits(
+            self, D, dt, lengths, fy, fc, hardening, unconfined, eps_max, n):
+        fu = None if hardening is None else fy * hardening
+        f_r = 0.0 if unconfined else None
+        results = []
+        for L in lengths:
+            column = build_column(D, D / dt, L, fy, fc, fu=fu)
+            response = response_curve(column, eps_max, n, f_r_override=f_r)
+            curve = sample_concrete_curve(column, n, eps_max)
+            results.append([bits(point) for point in (*response.points, *curve.points)]
+                           + [bits(response[1:])])
+        assert results[0] == results[1]

@@ -31,14 +31,18 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 GOLDEN = ROOT / "tests" / "golden"
 R1 = "--D 100 --t 5 --L 300 --fy 300 --fu 450 --Es 200000 --fc 30"
-# a subcommand with the flags of the R1 column that it takes, and the golden file each
-# must reproduce
-R1_GOLDENS = (
+# a subcommand with the column flags it takes, and the golden file each must reproduce: the
+# R1 column, and one that raises every flag of the steel curve and the peak-strain regression
+GOLDEN_RUNS = (
     (f"predict {R1}", "r1_predict_table.txt"),
     (f"cdpm {R1}", "r1_cdpm.txt"),
-    (f"respond {R1}", "r1_respond.txt"),
+    ("respond --D 100 --t 5 --fy 300 --fu 450 --Es 200000 --fc 30", "r1_respond.txt"),
     ("curve steel --fy 300 --fu 450 --Es 200000", "r1_curve_steel.txt"),
-    ("curve concrete --D 100 --t 5 --L 300 --fy 300 --fc 30", "r1_curve_concrete.txt"),
+    ("curve concrete --D 100 --t 5 --fy 300 --fc 30", "r1_curve_concrete.txt"),
+    ("respond --D 100 --t 5 --fy 900 --fu 900 --fc 120", "flagged_respond.txt"),
+    ("cdpm --D 100 --t 5 --L 300 --fy 900 --fu 900 --fc 120", "flagged_cdpm.txt"),
+    ("curve steel --fy 900 --fu 900", "flagged_curve_steel.txt"),
+    ("curve concrete --D 100 --t 5 --fy 900 --fc 120", "flagged_curve_concrete.txt"),
 )
 # the bench/gen.py fixtures whose batch outputs must not depend on the interpreter
 FIXTURES = ("batch-all", "batch-ingest")
@@ -185,14 +189,14 @@ def _same_batch(outputs: tuple[str, str] | None, label: str) -> bool:
 
 
 def golden(command: list[str] | None) -> bool:
-    """The CLI's stdout and stderr on the R1 column, and its batch outputs on the golden
-    input, are the goldens' bytes.  The command runs outside the checkout, so that an
+    """The CLI's stdout and stderr in each of GOLDEN_RUNS, and its batch outputs on the
+    golden input, are the goldens' bytes.  The command runs outside the checkout, so that an
     installed one imports nothing from src/."""
     env = None if command else _src_env()
     command = command or [sys.executable, "-m", "cfstcol.cli"]
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
-        for args, name in R1_GOLDENS:
+        for args, name in GOLDEN_RUNS:
             out = subprocess.run([*command, *args.split()], cwd=tmp, env=env, text=True,
                                  stdout=subprocess.PIPE, stderr=subprocess.STDOUT).stdout
             ok &= _same(out, GOLDEN / name, args)
