@@ -34,7 +34,7 @@ _EXPORTS = {
         "peak_strain_unconfined", "residual_stress", "sample_concrete_curve",
         "sample_steel_curve", "softening_params", "steel_curve_params", "steel_stress",
     ),
-    "response": ("AxialResponse", "peak_load", "response_curve"),
+    "response": ("AxialResponse", "response_curve"),
     "section": (
         "CircularSection", "ColumnSpec", "ConcreteClass", "ConcreteMaterial", "ConversionError",
         "ConvertedStrength", "MeasuredStrength", "SectionError", "SpecimenKind", "SteelMaterial",

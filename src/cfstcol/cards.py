@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .materials import cdpm_parameters, confined_concrete_params, sample_concrete_curve
+from .materials import cdpm_parameters, sample_concrete_curve
 from .section import ColumnSpec
 
 CONCRETE_POISSON = 0.2  # tool default, not derived
@@ -34,7 +34,7 @@ def render_cdpm_card(column: ColumnSpec) -> str:
     if column.defaulted:
         lines.append(f"# defaulted inputs: {', '.join(column.defaulted)}")
     flags = column.validity_flags
-    flags += tuple(f for f in confined_concrete_params(column).flags if f not in flags)
+    flags += tuple(f for f in curve.flags if f not in flags)
     lines += [f"# validity: {flag}" for flag in flags]
     lines += [
         f"# concrete Poisson {CONCRETE_POISSON:g} is a tool default",

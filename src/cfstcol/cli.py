@@ -232,22 +232,18 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    from .materials import (confined_concrete_params, sample_concrete_curve, sample_steel_curve,
-                            steel_curve_params)
+    from .materials import sample_concrete_curve, sample_steel_curve
     from .section import SteelMaterial
 
     if args.material == "steel":
-        steel = SteelMaterial(args.fy, args.fu, args.Es)
-        curve = sample_steel_curve(steel, args.n, args.eps_max)
-        flags = steel_curve_params(steel).flags
+        curve = sample_steel_curve(SteelMaterial(args.fy, args.fu, args.Es), args.n, args.eps_max)
     else:
         column, _ = _build_column(args, args.D)  # a stub length: the concrete curve reads none
         curve = sample_concrete_curve(column, args.n, args.eps_max)
-        flags = confined_concrete_params(column).flags
     lines = ["strain,stress_MPa"]
     lines.extend(f"{eps:.10g},{sigma:.10g}" for eps, sigma in curve.points)
     _write("\n".join(lines) + "\n", args.out)
-    _write_flags(flags)
+    _write_flags(curve.flags)
     return 0
 
 
@@ -260,7 +256,6 @@ def _cmd_cdpm(args: argparse.Namespace) -> int:
 
 
 def _cmd_respond(args: argparse.Namespace) -> int:
-    from .materials import confined_concrete_params, steel_curve_params
     from .response import response_curve
 
     column, _ = _build_column(args, args.D)  # a stub length: the fiber response reads none
@@ -272,7 +267,7 @@ def _cmd_respond(args: argparse.Namespace) -> int:
         f"peak {_cell(response.peak_load / 1e3)} kN at strain {response.peak_strain:.6g}",
         file=sys.stderr,
     )
-    _write_flags(steel_curve_params(column.steel).flags + confined_concrete_params(column).flags)
+    _write_flags(response.flags)
     return 0
 
 
@@ -394,6 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes no flag but -h (or an abbreviation of --help); given
+    # another one first, argparse would read that flag's value as the subcommand
+    if argv and argv[0].startswith("-") and not (argv[0] == "-h" or "--help".startswith(argv[0])):
+        parser.error(f"unrecognized arguments: {argv[0]}")
     args, unknown = parser.parse_known_args(argv)
     if unknown:  # under the usage line of the subcommand given them, not the top-level one
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")

@@ -25,9 +25,10 @@ EPS_C0_FIT_RANGE = (6.0, 105.0)  # MPa, fitted range of the peak-strain regressi
 
 @dataclass(frozen=True, slots=True)
 class StressStrainCurve:
-    """Ordered (strain, stress MPa) samples for one material."""
+    """Ordered (strain, stress MPa) samples for one material, and its model's flags."""
 
     points: tuple[tuple[float, float], ...]
+    flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.points) < 2:
@@ -390,7 +391,7 @@ def sample_steel_curve(
         eps_max = params.eps_u
     grid = sample_grid((params.eps_y, params.eps_p, params.eps_u), eps_max, n)
     points = tuple(zip(grid, _steel_stresses(grid, steel, params)))
-    return StressStrainCurve(points)
+    return StressStrainCurve(points, params.flags)
 
 
 def sample_concrete_curve(column: ColumnSpec, n: int, eps_max: float) -> StressStrainCurve:
@@ -400,4 +401,4 @@ def sample_concrete_curve(column: ColumnSpec, n: int, eps_max: float) -> StressS
     E_c = column.concrete.E_c
     grid = sample_grid((params.eps_c0, params.eps_cc), eps_max, n)
     points = tuple(zip(grid, _concrete_stresses(grid, f_c, E_c, params)))
-    return StressStrainCurve(points)
+    return StressStrainCurve(points, params.flags)

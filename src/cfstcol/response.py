@@ -23,23 +23,14 @@ from .section import ColumnSpec
 
 
 class AxialResponse(NamedTuple):
-    """Sampled axial response: (strain, load N) points plus peak and residual figures."""
+    """Sampled axial response: (strain, load N) points, peak and residual figures, and the
+    steel then the concrete model's flags."""
 
     points: tuple[tuple[float, float], ...]
     peak_load: float
     peak_strain: float
     residual_load: float
-
-
-def peak_load(points: tuple[tuple[float, float], ...]) -> tuple[float, float]:
-    """Maximum load over the samples and the first strain attaining it."""
-    if not points:
-        raise ValueError("response has no points")
-    best_load, best_eps = points[0][1], points[0][0]
-    for eps, load in points[1:]:
-        if load > best_load:
-            best_load, best_eps = load, eps
-    return best_load, best_eps
+    flags: tuple[str, ...] = ()
 
 
 def response_curve(
@@ -60,6 +51,6 @@ def response_curve(
     steel = _steel_stresses(grid, column.steel, sparams)
     concrete = _concrete_stresses(grid, column.concrete.f_c, column.concrete.E_c, cparams)
     loads = [s * A_s + c * A_c for s, c in zip(steel, concrete)]
-    # max keeps the first of equal loads, as peak_load does
-    best = max(loads)
-    return AxialResponse(tuple(zip(grid, loads)), best, grid[loads.index(best)], loads[-1])
+    best = max(loads)  # its strain is the first that reaches it
+    return AxialResponse(tuple(zip(grid, loads)), best, grid[loads.index(best)], loads[-1],
+                         sparams.flags + cparams.flags)

@@ -13,8 +13,6 @@ import math
 import random
 import time
 
-import pytest
-
 from cfstcol import (
     CircularSection,
     ColumnSpec,

@@ -209,6 +209,15 @@ class TestOshea:
         pred = predict_oshea(make_column(100, 5, 300, 300, 120))
         assert any("f_c > 100" in d for d in pred.diagnostics)
 
+    @pytest.mark.parametrize("f_c,branch", [(50.0, "f_l"), (50.01, "k")])
+    def test_normal_strength_branch_includes_50(self, make_column, f_c, branch):
+        assert branch in predict_oshea(make_column(100, 5, 300, 300, f_c)).intermediates
+
+    @pytest.mark.parametrize("f_c,flagged", [(100.0, False), (100.05, True)])
+    def test_extrapolation_note_starts_above_100(self, make_column, f_c, flagged):
+        pred = predict_oshea(make_column(100, 5, 300, 300, f_c))
+        assert any("f_c > 100" in d for d in pred.diagnostics) is flagged
+
     def test_thin_tube_gated(self, make_column):
         pred = predict_oshea(make_column(500, 2, 1500, 300, 30))
         assert not pred.applicability.applicable
@@ -328,6 +337,13 @@ class TestOliveira:
         just_above = predict_oliveira(make_column(100, 5, 300.0003, 300, 30), corrected)
         assert just_above.intermediates["lambda"] == approx(1.0, abs=1e-5)
 
+    def test_length_factor_is_one_up_to_ld_3(self, make_column):
+        at = predict_oliveira(make_column(100, 5, 300, 300, 30))
+        assert at.intermediates["lambda"] == 1.0 and at.diagnostics == ()
+        beyond = predict_oliveira(make_column(100, 5, 300.1, 300, 30))
+        assert beyond.intermediates["lambda"] == approx(-0.18 * math.log(3.001), rel=1e-12)
+        assert beyond.diagnostics[0].startswith(f"{NON_PHYSICAL_LENGTH_FACTOR}: ")
+
     @pytest.mark.parametrize("L,ok", [(50, False), (100, True), (1000, True), (1200, False)])
     def test_ld_band(self, make_column, L, ok):
         pred = predict_oliveira(make_column(100, 5, L, 300, 30))
@@ -355,6 +371,27 @@ class TestProposed:
         pred = predict_proposed(make_column(100, 5, 300, 1000, 30, fu=1100))
         assert pred.applicability.applicable
         assert any("envelope" in d for d in pred.diagnostics)
+
+    # a column (D, t, L, f_y, f_c) at a printed end of DATABASE_ENVELOPE, and one just
+    # beyond it; each quotient is exact, so that L/D and D/t land on the printed end
+    @pytest.mark.parametrize("quantity,end,beyond", [
+        ("f_y", (100, 5, 300, 185.7, 30), (100, 5, 300, 185.6999, 30)),
+        ("f_y", (100, 5, 300, 853.0, 30), (100, 5, 300, 853.0001, 30)),
+        ("f_c", (100, 5, 300, 300, 12.5), (100, 5, 300, 300, 12.4999)),
+        ("f_c", (100, 5, 300, 300, 185.6), (100, 5, 300, 300, 185.6001)),
+        ("D", (48, 3, 144, 300, 30), (47.99, 3, 144, 300, 30)),
+        ("D", (1020, 51, 3060, 300, 30), (1020.01, 51, 3060, 300, 30)),
+        ("L/D", (100, 5, 80, 300, 30), (100, 5, 79.99, 300, 30)),
+        ("L/D", (100, 5, 500, 300, 30), (100, 5, 500.01, 300, 30)),
+        ("D/t", (101, 10, 303, 300, 30), (100.9, 10, 303, 300, 30)),
+        ("D/t", (883.6, 4, 2000, 300, 30), (883.7, 4, 2000, 300, 30)),
+    ])
+    def test_envelope_ends_are_inside(self, make_column, quantity, end, beyond):
+        lo, hi = DATABASE_ENVELOPE[quantity]
+        assert predict_proposed(make_column(*end)).diagnostics == ()
+        (flag,) = predict_proposed(make_column(*beyond)).diagnostics
+        assert flag.startswith(f"{quantity} = ")
+        assert flag.endswith(f" outside calibration envelope [{lo:g}, {hi:g}]")
 
     def test_eta_functions(self):
         assert eta_c(20, 30, 0.0) == 0.85
@@ -417,6 +454,11 @@ class TestCrossCutting:
     def test_settings_reject_non_finite(self, field, bad):
         with pytest.raises(ValueError, match="must be finite"):
             PredictionSettings(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["K_e", "K", "r_cc"])
+    def test_settings_reject_zero(self, field):
+        with pytest.raises(ValueError, match="all settings factors must be positive"):
+            PredictionSettings(**{field: 0.0})
 
     def test_inapplicable_still_reports_load(self, make_column):
         pred = predict_yu(make_column(100, 5, 300, 600, 80))

@@ -224,7 +224,11 @@ class TestModelFlags:
          [f"validity: {FIT_FLAG}"]),
         (["cdpm", "--D", "100", "--t", "5", "--L", "300", "--fy", "300", "--fc", "120"],
          [f"# validity: {FIT_FLAG}"], []),
-    ], ids=["respond", "curve steel", "curve concrete", "cdpm"])
+        # the database-range flag is the column's and the concrete curve's: the card writes it once
+        (["cdpm", "--D", "100", "--t", "5", "--L", "300", "--fy", "300", "--fc", "200"],
+         ["# validity: f_c=200 MPa outside database range [12.5, 185.6] MPa",
+          f"# validity: {FIT_FLAG}"], []),
+    ], ids=["respond", "curve steel", "curve concrete", "cdpm", "cdpm shared flag"])
     def test_each_model_flag_is_one_line(self, capsys, argv, card_lines, err_lines):
         code, out, err = run(capsys, argv)
         assert code == 0, err
@@ -943,6 +947,28 @@ class TestUsage:
         assert OLIVEIRA_MODES == tuple(m.value.replace("_", "-") for m in OliveiraMode)
         for mode in OLIVEIRA_MODES:
             assert main(["predict", *R1_ARGS, "--method", "de_oliveira", "--oliveira-mode", mode]) == 0
+
+    @pytest.mark.parametrize("argv", [["--fy", "300", "curve", "steel", "--fy", "300"],
+                                      ["--fy", "curve", "steel", "--fy", "300"]])
+    def test_flag_before_the_subcommand_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cfstcol [-h] {predict,curve,cdpm,respond,batch} ...\n")
+        assert err.endswith("cfstcol: error: unrecognized arguments: --fy\n")
+
+    @pytest.mark.parametrize("help_flag", ["-h", "--help", "--he"])
+    def test_help_before_the_subcommand_prints_the_top_level_help(self, capsys, help_flag):
+        with pytest.raises(SystemExit) as exc:
+            main([help_flag, "curve"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cfstcol [-h] {predict,curve,")
+
+    def test_zero_settings_factor_exits_2(self, capsys):
+        code, _, err = run(capsys, ["predict", *R1_ARGS, "--ke", "0"])
+        assert code == 2
+        assert err == "error: all settings factors must be positive\n"
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

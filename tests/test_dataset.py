@@ -29,7 +29,8 @@ from cfstcol import (
     predict_all,
     proposed_factors,
 )
-from cfstcol.dataset import CSV_HEADER, _moments, evaluate_rows
+from cfstcol.capacity import CapacityPrediction
+from cfstcol.dataset import CSV_HEADER, RatioStats, RowResult, _moments, evaluate_rows
 
 approx = pytest.approx
 
@@ -192,6 +193,15 @@ class TestParse:
         # a later error names its own line
         assert parsed.errors == (RowError(3, f"unreadable record: {reason}"),
                                  RowError(6, "expected 11 columns, got 1"))
+
+    @pytest.mark.parametrize("length,records,errors", [
+        (131_072, 1, ()),
+        (131_073, 0, (RowError(2, "unreadable record: field larger than field limit (131072)"),)),
+    ])
+    def test_the_longest_cell_read_is_131072_characters(self, length, records, errors):
+        parsed = parse_dataset(HEADER + "\n" + "x" * length + ",100,5,300,300,,,30,,,650\n")
+        assert [r.source_id for r in parsed.records] == ["x" * length] * records
+        assert parsed.errors == errors
 
     TWO_LINE_ROW = '"two\nlines",100,5,300,300,450,200000,30,CYL150,20,650'
 
@@ -579,6 +589,16 @@ class TestSampleStd:
     @example(ratios=[-1.7e308, 1.7e308])  # a STD beyond the float range
     def test_matches_the_integer_ratio_oracle(self, ratios):
         assert _moments(ratios)[1] == _oracle_std(ratios)
+
+
+class TestCov:
+    def test_a_zero_mean_gives_no_cov(self):
+        stats = RatioStats((MethodId.ACI,))
+        for i, N_u in enumerate((1000.0, -1000.0)):  # N_test = 1 kN: ratios 1 and -1
+            prediction = CapacityPrediction(MethodId.ACI, N_u, ApplicabilityReport(), {})
+            stats.add(RowResult(i, record(ntest=1.0), 30.0, "NSC", (), None, (prediction,)))
+        (summary,) = stats.summaries()
+        assert (summary.mean, summary.std, summary.cov) == (0.0, math.sqrt(2.0), None)
 
 
 class TestMean:

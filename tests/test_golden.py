@@ -18,10 +18,12 @@ limit texts, bounds and actual values at full ``repr`` precision) shows up
 here as a byte difference.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from cfstcol import cards, cli, materials, response
 from cfstcol.cli import main
 
 from test_cli import R1_ARGS, taken
@@ -65,3 +67,31 @@ def test_batch_matches_golden_files(capsys, tmp_path):
     assert capsys.readouterr().err == ""
     assert rows.read_bytes() == (GOLDEN / "batch_all_rows.csv").read_bytes()
     assert summary.read_bytes() == (GOLDEN / "batch_all_summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("command,calls", [
+    ("cdpm", {"confined_concrete_params": 1}),
+    ("respond", {"steel_curve_params": 1, "confined_concrete_params": 1}),
+    ("curve_steel", {"steel_curve_params": 1}),
+    ("curve_concrete", {"confined_concrete_params": 1}),
+])
+def test_each_output_computes_its_curve_parameters_once(capsys, monkeypatch, command, calls):
+    """The flags a subcommand prints come from the parameter set its numbers come from."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in ("steel_curve_params", "confined_concrete_params"):
+        original = getattr(materials, name)
+        wrapper = counted(name, original)
+        # wrapped wherever a module these subcommands run binds it, as bench/spans.py does
+        for module in (cards, cli, materials, response):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    argv = [*COMMANDS[command], *taken(COMMANDS[command], COLUMNS["flagged"])]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert counts == calls

@@ -24,7 +24,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 WATCHED = "{m for m in sys.modules if m.split('.')[0] == 'cfstcol' or m in ('csv', 'json')}"
 
 # the package's public names by defining module: every name it exported
-# before it resolved them lazily, except the removed CurveKind
+# before it resolved them lazily, except the removed CurveKind and peak_load
 EXPORTS = {
     "capacity": [
         "DEFAULT_SETTINGS", "ApplicabilityReport", "CapacityPrediction", "Ec4Coefficients",
@@ -46,7 +46,7 @@ EXPORTS = {
         "peak_strain_unconfined", "residual_stress", "sample_concrete_curve",
         "sample_steel_curve", "softening_params", "steel_curve_params", "steel_stress",
     ],
-    "response": ["AxialResponse", "peak_load", "response_curve"],
+    "response": ["AxialResponse", "response_curve"],
     "section": [
         "CircularSection", "ColumnSpec", "ConcreteClass", "ConcreteMaterial", "ConversionError",
         "ConvertedStrength", "MeasuredStrength", "SectionError", "SpecimenKind", "SteelMaterial",

@@ -328,6 +328,39 @@ class TestSampling:
             StressStrainCurve(((0.0, 0.0), (math.nan, 2.0), (0.1, 3.0)))
 
 
+
+STEEL_RANGE = "f_y={:g} MPa outside steel model range [200, 800] MPa"
+EXTRAPOLATED = "hardening strains extrapolated beyond 800 MPa"
+CONCRETE_RANGE = "f_c={:g} MPa outside database range [12.5, 185.6] MPa"
+FIT_RANGE = "peak-strain regression fitted for f_c in [6, 105] MPa"
+
+
+class TestCurveFlagRangeEnds:
+    """A printed range end raises no flag on the sampled curve; a value just outside does."""
+
+    @pytest.mark.parametrize("f_y,flags", [
+        (200.0, ()),
+        (199.9999, (STEEL_RANGE.format(199.9999),)),
+        (800.0, ()),
+        (800.0001, (STEEL_RANGE.format(800.0001), EXTRAPOLATED)),
+    ])
+    def test_steel(self, f_y, flags):
+        assert sample_steel_curve(SteelMaterial(f_y, 1.1 * f_y), 50).flags == flags
+
+    @pytest.mark.parametrize("f_c,flags", [
+        (6.0, (CONCRETE_RANGE.format(6.0),)),
+        (5.9999, (CONCRETE_RANGE.format(5.9999), FIT_RANGE)),
+        (12.5, ()),
+        (12.4999, (CONCRETE_RANGE.format(12.4999),)),
+        (105.0, ()),
+        (105.0001, (FIT_RANGE,)),
+        (185.6, (FIT_RANGE,)),
+        (185.6001, (CONCRETE_RANGE.format(185.6001), FIT_RANGE)),
+    ])
+    def test_concrete(self, f_c, flags):
+        assert sample_concrete_curve(build_column(100, 5, 300, 300, f_c), 50, 0.03).flags == flags
+
+
 # The per-point formulas as written before the whole-grid kernels, kept as
 # the reference the kernels must reproduce bit for bit.
 def steel_stress_reference(eps, steel, params):
@@ -517,6 +550,7 @@ class TestRecords:
     def test_flags_default_empty(self):
         assert SteelCurveParams(0.001, 0.01, 0.1, 4000.0, 3.0).flags == ()
         assert ConfinedConcreteParams(0.002, 1.0, 0.003, 5.0, 0.02, 1.2).flags == ()
+        assert StressStrainCurve(((0.0, 0.0), (0.1, 2.0))).flags == ()
 
     def test_degenerate_plateau(self):
         assert SteelCurveParams(0.001, 0.01, 0.1, 4000.0, None).degenerate_plateau is True

@@ -202,6 +202,10 @@ class TestConvertStrength:
         assert converted.f_c == approx(68.6, rel=1e-9)
         assert converted.concrete_class is ConcreteClass.HSC
 
+    def test_cube100_hsc(self):
+        converted = convert_strength(MeasuredStrength(100.0, SpecimenKind.CUBE100))
+        assert converted == (100.0 * 0.92, ConcreteClass.HSC)
+
     def test_cyl100_uhsc(self):
         converted = convert_strength(MeasuredStrength(130.0, SpecimenKind.CYL100))
         assert converted.f_c == approx(123.5, rel=1e-9)

@@ -4,19 +4,21 @@ Run from anywhere in a checkout:
 
     python tools/ci_checks.py [STEP ...] [--command CMD]
 
-STEP is any of smoke, traced-batch-all, traced-batch-ingest, traced-column-sweep,
-golden and cross-interpreter; with none, all run in that order.  Each step prints
-``ok`` or ``FAIL``, and the exit status is 1 if any step failed.  The benchmark
-steps run ``bench/run.py`` for two seconds on seed 1.  ``--command`` is the
-cfstcol command the golden step runs, split on spaces (default: this
-interpreter's ``python -m cfstcol.cli`` on ``src/`` of the checkout; CI passes
-the installed ``cfstcol`` console script).  The cross-interpreter step runs the
-batch under every pyenv interpreter from 3.10 on, and is skipped without pyenv.
+STEP is any of imports, smoke, traced-batch-all, traced-batch-ingest,
+traced-column-sweep, golden and cross-interpreter; with none, all run in that
+order.  Each step prints ``ok`` or ``FAIL``, and the exit status is 1 if any step
+failed.  The benchmark steps run ``bench/run.py`` for two seconds on seed 1.
+``--command`` is the cfstcol command the golden step runs, split on spaces
+(default: this interpreter's ``python -m cfstcol.cli`` on ``src/`` of the
+checkout; CI passes the installed ``cfstcol`` console script).  The
+cross-interpreter step runs the batch under every pyenv interpreter from 3.10 on,
+and is skipped without pyenv.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import difflib
 import json
 import os
@@ -95,6 +97,27 @@ def _src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+def imports(command: list[str] | None) -> bool:
+    """No file under src/, tests/ or tools/ imports a name that it never uses."""
+    ok = True
+    for path in sorted(p for top in ("src", "tests", "tools") for p in (ROOT / top).rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = {}  # the name an import binds, and the line of its first import
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:  # ``import a.b`` binds a
+                    imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported.setdefault(alias.asname or alias.name, node.lineno)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for name, line in imported.items():
+            if name not in used:
+                print(f"{path.relative_to(ROOT)}:{line}: {name} is imported and never used")
+                ok = False
+    return ok
 
 
 def _bench(workload: str, trace: int) -> tuple[dict, dict]:
@@ -267,6 +290,7 @@ def cross_interpreter(command: list[str] | None) -> bool:
 
 
 STEPS = {
+    "imports": imports,
     "smoke": smoke,
     "traced-batch-all": traced_batch_all,
     "traced-batch-ingest": traced_batch_ingest,
