@@ -20,14 +20,14 @@ from enum import Enum
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .section import (_CONVERSION_FACTORS, ColumnSpec, ConcreteClass, SpecimenKind,
-                      _require_finite, classify_concrete)
+from .section import (_CONVERSION_FACTORS, FC_VALID_RANGE, ColumnSpec, ConcreteClass,
+                      SpecimenKind, _require_finite, classify_concrete)
 
 # Parameter envelope of the test database the superposition factors were
 # calibrated on; the formula stays applicable outside it but flags the excursion.
 DATABASE_ENVELOPE: dict[str, tuple[float, float]] = {
     "f_y": (185.7, 853.0),
-    "f_c": (12.5, 185.6),
+    "f_c": FC_VALID_RANGE,
     "D": (48.0, 1020.0),
     "L/D": (0.8, 5.0),
     "D/t": (10.1, 220.9),
@@ -569,11 +569,15 @@ def predict(
     return run(column, settings)
 
 
-def check_distinct(methods: Sequence[MethodId]) -> None:
-    """Reject a method listed twice, which would be predicted and summarised twice."""
+def method_set(methods: Sequence[MethodId] | None = None) -> tuple[MethodId, ...]:
+    """The methods to run as a tuple, all thirteen for None; one listed twice raises ValueError."""
+    if methods is None:
+        return ALL_METHODS
+    methods = tuple(methods)
     for i, method in enumerate(methods):
         if method in methods[:i]:
             raise ValueError(f"method {getattr(method, 'value', method)!r} given more than once")
+    return methods
 
 
 def predict_all(
@@ -585,8 +589,4 @@ def predict_all(
 
     Raises ValueError when a method is listed twice.
     """
-    if methods is None:
-        methods = ALL_METHODS
-    else:
-        check_distinct(methods)
-    return [predict(column, m, settings) for m in methods]
+    return [predict(column, m, settings) for m in method_set(methods)]

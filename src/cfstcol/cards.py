@@ -17,8 +17,9 @@ FE_DOC_CONSTANTS = "steel-concrete friction 0.6, initial imperfection L/1000, el
 def render_cdpm_card(column: ColumnSpec) -> str:
     """Render the plasticity material card for a column.
 
-    The header holds the column's validity flags, then those of the confined
-    concrete curve that the table samples, each once.  Sections: [ELASTIC]
+    The header holds the steel's validity flags, then those of the confined
+    concrete curve that the table samples, which begin with the concrete's
+    (as ``AxialResponse.flags`` do).  Sections: [ELASTIC]
     E_c and Poisson ratio; [CDPM] dilation angle, eccentricity, f_b0/f_c,
     K_c, viscosity in that order; [COMPRESSION TABLE] the sampled confined
     curve (strain, stress MPa); [TENSION] the fracture energy G_f (N/mm).
@@ -33,9 +34,7 @@ def render_cdpm_card(column: ColumnSpec) -> str:
     ]
     if column.defaulted:
         lines.append(f"# defaulted inputs: {', '.join(column.defaulted)}")
-    flags = column.validity_flags
-    flags += tuple(f for f in curve.flags if f not in flags)
-    lines += [f"# validity: {flag}" for flag in flags]
+    lines += [f"# validity: {flag}" for flag in column.steel.validity_flags + curve.flags]
     lines += [
         f"# concrete Poisson {CONCRETE_POISSON:g} is a tool default",
         f"# FE modelling constants (documentation only): {FE_DOC_CONSTANTS}",

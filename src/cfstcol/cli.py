@@ -40,7 +40,7 @@ def _run_config(settings: PredictionSettings, Ec_override: float | None) -> dict
 def _add_column_args(parser: argparse.ArgumentParser,
                      names: str = "D t L fy fu Es fc fc-kind dmax ec") -> None:
     """Declare the column flags ``--name`` for each of ``names``: those the subcommand reads."""
-    from .section import SpecimenKind
+    from .section import DMAX_DEFAULT, STEEL_E_DEFAULT, SpecimenKind
 
     flags = {
         "D": dict(type=float, required=True, help="outer diameter (mm)"),
@@ -48,11 +48,12 @@ def _add_column_args(parser: argparse.ArgumentParser,
         "L": dict(type=float, required=True, help="column length (mm)"),
         "fy": dict(type=float, required=True, help="steel yield strength (MPa)"),
         "fu": dict(type=float, help="steel ultimate strength (MPa); defaults to max(1.25*fy, fy+50)"),
-        "Es": dict(type=float, help="steel modulus (MPa); defaults to 200000"),
+        "Es": dict(type=float, help=f"steel modulus (MPa); defaults to {STEEL_E_DEFAULT:g}"),
         "fc": dict(type=float, required=True, help="measured concrete strength (MPa)"),
-        "fc-kind": dict(choices=[k.value.lower() for k in SpecimenKind], default="cyl150",
-                        help="specimen shape of --fc (default cyl150)"),
-        "dmax": dict(type=float, help="max aggregate size (mm); defaults to 20"),
+        "fc-kind": dict(choices=[k.value.lower() for k in SpecimenKind],
+                        default=SpecimenKind.CYL150.value.lower(),
+                        help="specimen shape of --fc (default %(default)s)"),
+        "dmax": dict(type=float, help=f"max aggregate size (mm); defaults to {DMAX_DEFAULT:g}"),
         "ec": dict(type=float, help="concrete modulus override (MPa)"),
     }
     g = parser.add_argument_group("column")
@@ -99,10 +100,10 @@ def _write_flags(flags: tuple[str, ...]) -> None:
 
 
 def _parse_methods(spec: str) -> tuple[MethodId, ...]:
-    from .capacity import ALL_METHODS, MethodId, check_distinct
+    from .capacity import MethodId, method_set
 
     if spec.strip().lower() == "all":
-        return ALL_METHODS
+        return method_set()
     methods = []
     for token in spec.split(","):
         token = token.strip().lower()
@@ -111,8 +112,7 @@ def _parse_methods(spec: str) -> tuple[MethodId, ...]:
         except ValueError:
             known = ", ".join(m.value for m in MethodId)
             raise ValueError(f"unknown method {token!r} (known: all, {known})") from None
-    check_distinct(methods)
-    return tuple(methods)
+    return method_set(methods)
 
 
 def _output(out: str | None, default):
@@ -390,9 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    # the top-level parser takes no flag but -h (or an abbreviation of --help); given
-    # another one first, argparse would read that flag's value as the subcommand
-    if argv and argv[0].startswith("-") and not (argv[0] == "-h" or "--help".startswith(argv[0])):
+    # the top-level parser takes only -h and --help (abbreviable): a leading -- ends its options
+    # and goes, and argparse would read any other flag, or a bare -, as the subcommand
+    if argv and argv[0] == "--":
+        argv = argv[1:]
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--h", "--he", "--hel", "--help"):
         parser.error(f"unrecognized arguments: {argv[0]}")
     args, unknown = parser.parse_known_args(argv)
     if unknown:  # under the usage line of the subcommand given them, not the top-level one

@@ -21,12 +21,11 @@ import threading
 from typing import Iterable, Iterator, NamedTuple
 
 from .capacity import (
-    ALL_METHODS,
     DEFAULT_SETTINGS,
     CapacityPrediction,
     MethodId,
     PredictionSettings,
-    check_distinct,
+    method_set,
     predict,
 )
 from .section import (
@@ -338,10 +337,7 @@ def evaluate_dataset(
     concrete modulus on every row (sensitivity runs).  A method listed
     twice, or an invalid ``Ec_override``, raises ValueError before any row.
     """
-    if methods is None:
-        methods = ALL_METHODS
-    else:
-        check_distinct(methods)
+    methods = method_set(methods)
     rows = list(evaluate_rows(records, methods, settings, Ec_override))
     stats = RatioStats(methods)
     for row in rows:

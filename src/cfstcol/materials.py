@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .section import ColumnSpec, SteelMaterial, _require_finite
+from .section import FY_VALID_RANGE, ColumnSpec, SteelMaterial, _require_finite
 
 PSI_MAX = 56.3  # deg, upper bound of the dilation-angle regression
 BETA_SOFTENING = 1.2
@@ -80,8 +80,8 @@ def steel_curve_params(steel: SteelMaterial) -> SteelCurveParams:
     else:
         eps_p = (15.0 - 0.018 * (f_y - 300.0)) * eps_y
         eps_u = (100.0 - 0.15 * (f_y - 300.0)) * eps_y
-        if f_y > 800.0:
-            flags.append("hardening strains extrapolated beyond 800 MPa")
+        if f_y > FY_VALID_RANGE[1]:
+            flags.append(f"hardening strains extrapolated beyond {FY_VALID_RANGE[1]:g} MPa")
     if not eps_y < eps_p < eps_u:
         raise ValueError(
             f"strain ordering eps_y < eps_p < eps_u breaks down at f_y={f_y:g} MPa"

@@ -40,6 +40,7 @@ from cfstcol.capacity import (
     DATABASE_ENVELOPE,
     NON_PHYSICAL_CONFINED_STRESS,
     NON_PHYSICAL_LENGTH_FACTOR,
+    method_set,
 )
 
 from conftest import build_column
@@ -119,6 +120,21 @@ class TestAisc:
         pred = predict_aisc(build_column(100, 5, 8000, 300, 30, fu=450))
         assert pred.intermediates["P_e"] < 0.44 * pred.intermediates["P_0"]
         assert pred.N_u == approx(0.877 * pred.intermediates["P_e"], rel=1e-12)
+
+    @pytest.mark.parametrize("t,C_3,noted", [(3.91, 0.90057, True), (3.9, 0.89983, False)])
+    def test_c3_note_just_above_0_9(self, t, C_3, noted):
+        pred = predict_aisc(build_column(100, t, 300, 300, 30, fu=450, Es=200_000))
+        assert pred.intermediates["C_3"] == approx(C_3, abs=1e-5)
+        assert any("C_3" in d for d in pred.diagnostics) is noted
+
+    def test_switch_tie_takes_the_inelastic_branch(self):
+        """At this length P_e == 0.44*P_0 bit for bit (found by walking +-3000 ulps of L
+        around the analytic switch); equality is inelastic, as printed."""
+        pred = predict_aisc(build_column(100, 5, 3864.953873719884, 300, 30, fu=450, Es=200_000))
+        P_0, P_e = pred.intermediates["P_0"], pred.intermediates["P_e"]
+        assert P_e == 0.44 * P_0
+        assert pred.N_u == P_0 * 0.658 ** (P_0 / P_e) == 242950.66504319437
+        assert 0.877 * P_e == 242713.1636602439  # the elastic branch, which ">" would take
 
     def test_high_yield_gated(self, make_column):
         pred = predict_aisc(make_column(100, 5, 300, 600, 30))
@@ -658,6 +674,12 @@ class TestRegistry:
     def test_predict_rejects_an_unknown_method(self, r1):
         with pytest.raises(ValueError, match="^unknown method: 'bogus'$"):
             predict(r1, "bogus")
+
+    def test_method_set_owns_the_default_and_the_distinct_rule(self):
+        assert method_set() is method_set(None) is ALL_METHODS
+        assert method_set([MethodId.ACI, MethodId.EC4]) == (MethodId.ACI, MethodId.EC4)
+        with pytest.raises(ValueError, match="^method 'aci' given more than once$"):
+            method_set([MethodId.ACI, MethodId.EC4, MethodId.ACI])
 
 
 class TestArithmeticFailure:

@@ -11,36 +11,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cfstcol import MethodId, OliveiraMode, evaluate_dataset, parse_dataset, predict, response_curve
-from cfstcol.capacity import ARITHMETIC_ERROR
-from cfstcol.cli import OLIVEIRA_MODES, _cell, build_parser, main
+from cfstcol.capacity import ARITHMETIC_ERROR, DEFAULT_SETTINGS
+from cfstcol.cli import OLIVEIRA_MODES, _cell, _settings, build_parser, main
 from cfstcol.dataset import CSV_HEADER
 
 from conftest import build_column
+from golden_cases import GOLDEN, NOT_TAKEN, R1_ARGS, taken
 from test_acceptance import GATING_ROWS
-
-GOLDEN = Path(__file__).parent / "golden"
-
-R1_ARGS = ["--D", "100", "--t", "5", "--L", "300", "--fy", "300", "--fu", "450",
-           "--Es", "200000", "--fc", "30"]
-# the column flags that a single-column subcommand does not take, since its output
-# does not depend on them
-NOT_TAKEN = {("curve", "steel"): ("--D", "--t", "--L", "--fc", "--fc-kind", "--dmax", "--ec"),
-             ("curve", "concrete"): ("--L", "--fu", "--Es", "--dmax"),
-             ("respond",): ("--L", "--dmax")}
-
 
 # the flags of the steel curve at f_y = f_u = 900 MPa, and of the concrete curve above 105 MPa
 STEEL_FLAGS = ("f_y=900 MPa outside steel model range [200, 800] MPa",
                "hardening strains extrapolated beyond 800 MPa",
                "f_u equals f_y; hardening stage degenerates to a plateau")
 FIT_FLAG = "peak-strain regression fitted for f_c in [6, 105] MPa"
-
-
-def taken(command, column):
-    """The flag-value pairs of ``column`` that the subcommand ``command`` takes."""
-    skip = NOT_TAKEN.get(tuple(command), ())
-    return [arg for flag, value in zip(column[::2], column[1::2]) if flag not in skip
-            for arg in (flag, value)]
 
 
 def run(capsys, argv):
@@ -948,6 +931,12 @@ class TestUsage:
         for mode in OLIVEIRA_MODES:
             assert main(["predict", *R1_ARGS, "--method", "de_oliveira", "--oliveira-mode", mode]) == 0
 
+    @pytest.mark.parametrize("argv", [["predict", *R1_ARGS], ["batch", "--input", "specimens.csv"]])
+    def test_settings_without_their_flags_are_the_library_defaults(self, argv):
+        """The settings flags' defaults are literals, so that building the parser loads no
+        capacity code; they must read as DEFAULT_SETTINGS."""
+        assert _settings(build_parser().parse_args(argv)) == DEFAULT_SETTINGS
+
     @pytest.mark.parametrize("argv", [["--fy", "300", "curve", "steel", "--fy", "300"],
                                       ["--fy", "curve", "steel", "--fy", "300"]])
     def test_flag_before_the_subcommand_exits_2(self, capsys, argv):
@@ -958,7 +947,26 @@ class TestUsage:
         assert err.startswith("usage: cfstcol [-h] {predict,curve,cdpm,respond,batch} ...\n")
         assert err.endswith("cfstcol: error: unrecognized arguments: --fy\n")
 
-    @pytest.mark.parametrize("help_flag", ["-h", "--help", "--he"])
+    def test_double_dash_before_the_subcommand_is_dropped(self, capsys):
+        """A leading -- ends the top-level options, of which there are none."""
+        _, plain, _ = run(capsys, ["predict", *R1_ARGS])
+        code, out, err = run(capsys, ["--", "predict", *R1_ARGS])
+        assert (code, out, err) == (0, plain, "")
+
+    @pytest.mark.parametrize("argv,stray", [
+        (["-", "predict", *R1_ARGS], "-"),
+        (["--", "--fy", "300", "curve", "steel", "--fy", "300"], "--fy"),
+        (["--", "--", "predict", *R1_ARGS], "--"),
+    ], ids=["dash", "flag-after-double-dash", "second-double-dash"])
+    def test_dash_or_flag_before_the_subcommand_exits_2(self, capsys, argv, stray):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cfstcol [-h] {predict,curve,cdpm,respond,batch} ...\n")
+        assert err.endswith(f"cfstcol: error: unrecognized arguments: {stray}\n")
+
+    @pytest.mark.parametrize("help_flag", ["-h", "--h", "--he", "--help"])
     def test_help_before_the_subcommand_prints_the_top_level_help(self, capsys, help_flag):
         with pytest.raises(SystemExit) as exc:
             main([help_flag, "curve"])

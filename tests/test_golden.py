@@ -15,48 +15,27 @@ all`` on it must reproduce ``batch_all_rows.csv`` and
 ``batch_all_summary.json``.  Any change to the curve arithmetic, the
 sampling grid, the number formatting or the applicability gating (its
 limit texts, bounds and actual values at full ``repr`` precision) shows up
-here as a byte difference.
+here as a byte difference.  The single-column cases are declared in
+``golden_cases.py``, which the golden step of ``tools/ci_checks.py`` runs too.
 """
 
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 from cfstcol import cards, cli, materials, response
 from cfstcol.cli import main
 
-from test_cli import R1_ARGS, taken
-
-GOLDEN = Path(__file__).parent / "golden"
-
-COLUMNS = {
-    "r1": R1_ARGS,
-    "hsc_cube": ["--D", "219", "--t", "3", "--L", "650", "--fy", "460", "--fc", "95",
-                 "--fc-kind", "cube150", "--dmax", "10"],
-    "thin_squat": ["--D", "540", "--t", "2", "--L", "270", "--fy", "200", "--fc", "15"],
-    "thick_slender": ["--D", "200", "--t", "20", "--L", "2400", "--fy", "600", "--fc", "80"],
-    "flagged": ["--D", "100", "--t", "5", "--L", "300", "--fy", "900", "--fu", "900",
-                "--fc", "120"],
-}
-COMMANDS = {
-    "respond": ["respond"],
-    "cdpm": ["cdpm"],
-    "curve_steel": ["curve", "steel"],
-    "curve_concrete": ["curve", "concrete"],
-    "predict_table": ["predict"],
-    "predict_json": ["predict", "--format", "json"],
-    "predict_csv": ["predict", "--format", "csv"],
-}
+from golden_cases import COLUMNS, COMMANDS, GOLDEN, golden_case
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("column", COLUMNS)
 def test_output_matches_golden_file(capsys, column, command):
-    assert main([*COMMANDS[command], *taken(COMMANDS[command], COLUMNS[column])]) == 0
+    argv, expected = golden_case(column, command)
+    assert main(argv) == 0
     captured = capsys.readouterr()
-    expected = (GOLDEN / f"{column}_{command}.txt").read_text(encoding="utf-8")
-    assert captured.out + captured.err == expected
+    assert captured.out + captured.err == expected.read_text(encoding="utf-8")
 
 
 def test_batch_matches_golden_files(capsys, tmp_path):
@@ -92,6 +71,6 @@ def test_each_output_computes_its_curve_parameters_once(capsys, monkeypatch, com
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, wrapper)
-    argv = [*COMMANDS[command], *taken(COMMANDS[command], COLUMNS["flagged"])]
+    argv, _ = golden_case("flagged", command)
     assert main(argv) == 0, capsys.readouterr().err
     assert counts == calls

@@ -17,8 +17,7 @@ import pytest
 
 import cfstcol
 
-from test_cli import R1_ARGS, taken
-from test_golden import COMMANDS, GOLDEN
+from golden_cases import COMMANDS, GOLDEN, R1_ARGS, taken
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 WATCHED = "{m for m in sys.modules if m.split('.')[0] == 'cfstcol' or m in ('csv', 'json')}"

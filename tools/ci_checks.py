@@ -4,15 +4,19 @@ Run from anywhere in a checkout:
 
     python tools/ci_checks.py [STEP ...] [--command CMD]
 
-STEP is any of imports, smoke, traced-batch-all, traced-batch-ingest,
+STEP is any of imports, statements, smoke, traced-batch-all, traced-batch-ingest,
 traced-column-sweep, golden and cross-interpreter; with none, all run in that
 order.  Each step prints ``ok`` or ``FAIL``, and the exit status is 1 if any step
-failed.  The benchmark steps run ``bench/run.py`` for two seconds on seed 1.
-``--command`` is the cfstcol command the golden step runs, split on spaces
-(default: this interpreter's ``python -m cfstcol.cli`` on ``src/`` of the
-checkout; CI passes the installed ``cfstcol`` console script).  The
-cross-interpreter step runs the batch under every pyenv interpreter from 3.10 on,
-and is skipped without pyenv.
+failed.  The statements step runs the test suite under tests/ in this process
+(it needs pytest and hypothesis) and lists each statement of src/cfstcol/ that
+it leaves unexecuted.  The benchmark steps run ``bench/run.py`` for two seconds
+on seed 1.  The golden step runs every single-column case of
+``tests/golden_cases.py`` and the batch on the golden input; ``--command`` is
+the cfstcol command it runs, split on spaces (default: this interpreter's
+``python -m cfstcol.cli`` on ``src/`` of the checkout; CI passes the installed
+``cfstcol`` console script).  The cross-interpreter step runs the golden step,
+then the batch on more inputs, under every pyenv interpreter from 3.10 on, and
+is skipped without pyenv.
 """
 
 from __future__ import annotations
@@ -31,21 +35,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-GOLDEN = ROOT / "tests" / "golden"
-R1 = "--D 100 --t 5 --L 300 --fy 300 --fu 450 --Es 200000 --fc 30"
-# a subcommand with the column flags it takes, and the golden file each must reproduce: the
-# R1 column, and one that raises every flag of the steel curve and the peak-strain regression
-GOLDEN_RUNS = (
-    (f"predict {R1}", "r1_predict_table.txt"),
-    (f"cdpm {R1}", "r1_cdpm.txt"),
-    ("respond --D 100 --t 5 --fy 300 --fu 450 --Es 200000 --fc 30", "r1_respond.txt"),
-    ("curve steel --fy 300 --fu 450 --Es 200000", "r1_curve_steel.txt"),
-    ("curve concrete --D 100 --t 5 --fy 300 --fc 30", "r1_curve_concrete.txt"),
-    ("respond --D 100 --t 5 --fy 900 --fu 900 --fc 120", "flagged_respond.txt"),
-    ("cdpm --D 100 --t 5 --L 300 --fy 900 --fu 900 --fc 120", "flagged_cdpm.txt"),
-    ("curve steel --fy 900 --fu 900", "flagged_curve_steel.txt"),
-    ("curve concrete --D 100 --t 5 --fy 900 --fc 120", "flagged_curve_concrete.txt"),
-)
+# the golden cases that tests/test_golden.py runs, from a plain module of tests/
+sys.path.insert(0, str(ROOT / "tests"))
+from golden_cases import COLUMNS, COMMANDS, GOLDEN, golden_case
+
 # the bench/gen.py fixtures whose batch outputs must not depend on the interpreter
 FIXTURES = ("batch-all", "batch-ingest")
 # nor may they on a file of the records that readers disagree on or cannot read: after a
@@ -117,6 +110,62 @@ def imports(command: list[str] | None) -> bool:
             if name not in used:
                 print(f"{path.relative_to(ROOT)}:{line}: {name} is imported and never used")
                 ok = False
+    return ok
+
+
+def _statement_lines(path: Path) -> set[int]:
+    """The first line of each statement in ``path``, but docstrings and the
+    ``if __name__ == "__main__":`` body."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            skipped.add(node.body[0])
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            skipped.update(n for statement in node.body for n in ast.walk(statement))
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.stmt) and node not in skipped}
+
+
+def statements(command: list[str] | None) -> bool:
+    """Tier-1, run in this process under a line tracer with a fixed Hypothesis seed, executes
+    every statement of src/cfstcol/ but docstrings and the ``if __name__ == "__main__":``
+    body; each one it does not is listed as file:line."""
+    import threading
+
+    import pytest
+
+    executed = {str(path): set() for path in sorted((SRC / "cfstcol").glob("*.py"))}
+
+    def tracer(frame, event, arg):
+        lines = executed.get(frame.f_code.co_filename)
+        if lines is None:
+            return None  # no line events for frames outside the package
+
+        def line(frame, event, arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return line
+        return line
+
+    for name in [m for m in sys.modules if m.split(".")[0] == "cfstcol"]:
+        del sys.modules[name]  # imported again under the tracer, module bodies included
+    sys.path.insert(0, str(SRC))
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    threading.settrace(tracer)
+    sys.settrace(tracer)
+    try:
+        ok = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "tests"]) == 0
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+        os.chdir(cwd)
+    for filename, lines in executed.items():
+        for line in sorted(_statement_lines(Path(filename)) - lines):
+            print(f"{Path(filename).relative_to(ROOT)}:{line}: statement not executed")
+            ok = False
     return ok
 
 
@@ -211,20 +260,28 @@ def _same_batch(outputs: tuple[str, str] | None, label: str) -> bool:
             & _same(outputs[1], GOLDEN / "batch_all_summary.json", f"batch summary{label}"))
 
 
-def golden(command: list[str] | None) -> bool:
-    """The CLI's stdout and stderr in each of GOLDEN_RUNS, and its batch outputs on the
-    golden input, are the goldens' bytes.  The command runs outside the checkout, so that an
-    installed one imports nothing from src/."""
-    env = None if command else _src_env()
-    command = command or [sys.executable, "-m", "cfstcol.cli"]
+def _golden(command: list[str], env: dict | None, label: str = "") -> bool:
+    """Whether ``command``'s stdout and stderr in each single-column golden case of
+    tests/golden_cases.py, and its batch outputs on the golden input, are the goldens'
+    bytes.  It runs outside the checkout, so that an installed command imports nothing
+    from src/."""
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
-        for args, name in GOLDEN_RUNS:
-            out = subprocess.run([*command, *args.split()], cwd=tmp, env=env, text=True,
-                                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT).stdout
-            ok &= _same(out, GOLDEN / name, args)
-        ok &= _same_batch(_batch(command, tmp, env, "all", GOLDEN / "batch_input.csv"), "")
+        for column in COLUMNS:
+            for name in COMMANDS:
+                argv, expected = golden_case(column, name)
+                out = subprocess.run([*command, *argv], cwd=tmp, env=env, text=True,
+                                     stdout=subprocess.PIPE, stderr=subprocess.STDOUT).stdout
+                ok &= _same(out, expected, " ".join(argv) + label)
+        ok &= _same_batch(_batch(command, tmp, env, "all", GOLDEN / "batch_input.csv"), label)
     return ok
+
+
+def golden(command: list[str] | None) -> bool:
+    """The golden cases through ``command``, or through this interpreter on src/."""
+    if command:
+        return _golden(command, None)
+    return _golden([sys.executable, "-m", "cfstcol.cli"], _src_env())
 
 
 def _pyenv_pythons() -> list[Path]:
@@ -243,9 +300,9 @@ def _pyenv_pythons() -> list[Path]:
 
 
 def cross_interpreter(command: list[str] | None) -> bool:
-    """Under every pyenv interpreter, the batch on the golden input gives the goldens, the
-    batch on each seed-1 fixture and on the adversarial file exits 0 and gives the same
-    bytes as under the oldest one, and the adversarial file gives ADVERSARIAL_OUTCOME."""
+    """Under every pyenv interpreter, the golden step passes, the batch on each seed-1
+    fixture and on the adversarial file exits 0 and gives the same bytes as under the oldest
+    one, and the adversarial file gives ADVERSARIAL_OUTCOME."""
     pythons = _pyenv_pythons()
     if not pythons:
         print("cross-interpreter: skipped, no pyenv interpreter from 3.10 on")
@@ -270,8 +327,7 @@ def cross_interpreter(command: list[str] | None) -> bool:
             version = python.parent.parent.name
             print(f"cross-interpreter: Python {version}", flush=True)
             command = [str(python), "-m", "cfstcol.cli"]
-            golden_input = GOLDEN / "batch_input.csv"
-            ok &= _same_batch(_batch(command, tmp, env, "all", golden_input), f", Python {version}")
+            ok &= _golden(command, env, f", Python {version}")
             for name, methods, source in fixtures:
                 outputs = _batch(command, tmp, env, methods, source)
                 if outputs is None:
@@ -291,6 +347,7 @@ def cross_interpreter(command: list[str] | None) -> bool:
 
 STEPS = {
     "imports": imports,
+    "statements": statements,
     "smoke": smoke,
     "traced-batch-all": traced_batch_all,
     "traced-batch-ingest": traced_batch_ingest,
