@@ -102,11 +102,13 @@ def _write_flags(flags: tuple[str, ...]) -> None:
 def _parse_methods(spec: str) -> tuple[MethodId, ...]:
     from .capacity import MethodId, method_set
 
-    if spec.strip().lower() == "all":
+    tokens = [token.strip().lower() for token in spec.split(",")]
+    if "all" in tokens:
+        if len(tokens) > 1:
+            raise ValueError(f"method 'all' stands alone, not beside other ids: {spec!r}")
         return method_set()
     methods = []
-    for token in spec.split(","):
-        token = token.strip().lower()
+    for token in tokens:
         try:
             methods.append(MethodId(token))
         except ValueError:

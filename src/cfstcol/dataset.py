@@ -8,8 +8,10 @@ documented default"):
 Evaluation runs the requested predictors per row and summarises the
 test-to-prediction ratios N_test/N_u per method (arithmetic mean, sample
 standard deviation, coefficient of variation) over the rows that pass the
-method's applicability limits.  The mean and STD are read off one set of
-exact integer sums, so every Python version gives the same bits.
+method's applicability limits.  Each method keeps three exact integers, its
+ratio count and the sums of each ratio and its square at the fixed scale 2**1074,
+whatever the number of rows; the mean and STD are read off them, so every Python
+version gives the same bits.
 """
 
 from __future__ import annotations
@@ -218,60 +220,50 @@ class StatsSummary(NamedTuple):
     cov: float | None
 
 
-def _evaluate_row(
-    index: int,
-    record: SpecimenRecord,
-    methods: tuple[MethodId, ...],
-    settings: PredictionSettings,
-    Ec_override: float | None = None,
-) -> RowResult:
-    try:
-        column, converted = column_from_record(record, Ec_override)
-    except ValueError as exc:  # a ConversionError included
-        return RowResult(index, record, None, None, record.defaulted, str(exc), ())
-    # column.defaulted already names the defaulted material fields; fc_kind
-    # is the only parse-level default it cannot see
-    defaulted = (("fc_kind",) if "fc_kind" in record.defaulted else ()) + column.defaulted
-    predictions = tuple([predict(column, m, settings) for m in methods])
-    # _value_ is the member's value as a plain attribute; .value goes through a descriptor
-    return RowResult(
-        index, record, converted.f_c, converted.concrete_class._value_,
-        defaulted, None, predictions,
-    )
+class _Moments:
+    """One method's ratio count n and the exact integer sums of x * 2**1074 and of its square
+    (every finite float is a whole multiple of 2**-1074); infinities and nans sum in the float
+    ``special``, so no result depends on the order of the ratios."""
 
+    def __init__(self) -> None:
+        self.n = self.sx = self.sxx = 0
+        self.special = 0.0
 
-def _moments(ratios: list[float]) -> tuple[float, float | None]:
-    """Mean and sample STD (n-1; None for one ratio) from one set of exact integer sums.
+    def add(self, x: float) -> None:
+        self.n += 1
+        try:
+            p, d = x.as_integer_ratio()
+        except (OverflowError, ValueError):  # an infinity, a nan
+            self.special += x
+            return
+        shift = 1075 - d.bit_length()
+        self.sx += p << shift
+        self.sxx += p * p << 2 * shift
 
-    Each ratio x becomes the exact integer x * 2**k, 2**k being the largest denominator of
-    the ratios' ``as_integer_ratio()``.
-    The mean is the exact sum rounded once, then divided by n; the STD's root is rounded
-    to odd at 109 bits, then to a float, as in CPython 3.11's ``stdev``.
-    """
-    n = len(ratios)
-    if not math.isfinite(sum(ratios)):
-        special = [x for x in ratios if not math.isfinite(x)]
-        if special:  # one infinity is the mean; infinities of both signs, or a nan, give nan
-            return sum(special), math.nan if n >= 2 else None
-    pairs = [x.as_integer_ratio() for x in ratios]
-    k = max(d for _, d in pairs).bit_length() - 1
-    xs = [p << (k + 1 - d.bit_length()) for p, d in pairs]
-    sx = sum(xs)
-    try:  # an int-by-int quotient is correctly rounded
-        mean = sx / (1 << k) / n
-    except OverflowError:  # the sum is beyond the float range, the mean is not
-        j = n.bit_length() + 1
-        mean = math.ldexp(sx / (1 << (k + j)) / n, j)
-    if n < 2:
-        return mean, None
-    num = n * sum(x * x for x in xs) - sx * sx
-    den = n * (n - 1) << 2 * k
-    q = (num.bit_length() - den.bit_length() - 109) // 2
-    num, den = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)
-    a = math.isqrt(num // den)
-    a |= a * a * den != num
-    # one rounding of a, then an exact power-of-two scale that overflows to inf, not an error
-    return mean, float(a) * 2.0**q if q >= 0 else a / (1 << -q)
+    def result(self) -> tuple[float, float | None]:
+        """Mean and sample STD (n-1; None for one ratio) of at least one ratio.
+
+        The mean is the exact sum rounded once, then divided by n; the STD's root is rounded
+        to odd at 109 bits, then to a float, as in CPython 3.11's ``stdev``.
+        """
+        n, sx = self.n, self.sx
+        if self.special:  # one infinity is the mean; infinities of both signs, or a nan, give nan
+            return self.special, math.nan if n >= 2 else None
+        try:  # an int-by-int quotient is correctly rounded
+            mean = sx / (1 << 1074) / n
+        except OverflowError:  # the sum is beyond the float range, the mean is not
+            j = n.bit_length() + 1
+            mean = math.ldexp(sx / (1 << (1074 + j)) / n, j)
+        if n < 2:
+            return mean, None
+        num = n * self.sxx - sx * sx
+        den = n * (n - 1) << 2148
+        q = (num.bit_length() - den.bit_length() - 109) // 2
+        num, den = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)
+        a = math.isqrt(num // den)
+        a |= a * a * den != num
+        # one rounding of a, then an exact power-of-two scale that overflows to inf, not an error
+        return mean, float(a) * 2.0**q if q >= 0 else a / (1 << -q)
 
 
 class RatioStats:
@@ -281,7 +273,7 @@ class RatioStats:
         self.methods = methods
         self.n_total = 0
         self.n_applicable = [0] * len(methods)
-        self.ratios: list[list[float]] = [[] for _ in methods]
+        self.moments = [_Moments() for _ in methods]
 
     def add(self, row: RowResult) -> None:
         self.n_total += 1
@@ -296,14 +288,14 @@ class RatioStats:
                 # below 1e-320 N is 0.0 in kN and, like a zero load, gives no ratio
                 N_u_kN = N_u / 1e3
                 if math.isfinite(N_u_kN) and N_u_kN != 0.0:
-                    self.ratios[i].append(N_test / N_u_kN)
+                    self.moments[i].add(N_test / N_u_kN)
 
     def summaries(self) -> list[StatsSummary]:
         out = []
-        for method, n_applicable, ratios in zip(self.methods, self.n_applicable, self.ratios):
+        for method, n_applicable, moments in zip(self.methods, self.n_applicable, self.moments):
             mean = std = cov = None
-            if ratios:
-                mean, std = _moments(ratios)
+            if moments.n:
+                mean, std = moments.result()
                 if std is not None:
                     cov = std / mean if mean > 0 else None
             out.append(StatsSummary(method, n_applicable, self.n_total, mean, std, cov))
@@ -318,8 +310,19 @@ def evaluate_rows(
 
     An invalid ``Ec_override`` raises ValueError before the first row."""
     check_concrete_modulus(Ec_override)
-    for i, rec in enumerate(records):
-        yield _evaluate_row(i, rec, methods, settings, Ec_override)
+    for index, record in enumerate(records):
+        try:
+            column, converted = column_from_record(record, Ec_override)
+        except ValueError as exc:  # a ConversionError included
+            yield RowResult(index, record, None, None, record.defaulted, str(exc), ())
+            continue
+        # column.defaulted already names the defaulted material fields; fc_kind
+        # is the only parse-level default it cannot see
+        defaulted = (("fc_kind",) if "fc_kind" in record.defaulted else ()) + column.defaulted
+        predictions = tuple([predict(column, m, settings) for m in methods])
+        # _value_ is the member's value as a plain attribute; .value goes through a descriptor
+        yield RowResult(index, record, converted.f_c, converted.concrete_class._value_,
+                        defaulted, None, predictions)
 
 
 def evaluate_dataset(

@@ -973,6 +973,14 @@ class TestUsage:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: cfstcol [-h] {predict,curve,")
 
+    @pytest.mark.parametrize("spec", ["aci,all", "all,aci", "ALL, aci"])
+    @pytest.mark.parametrize("command", ["predict", "batch"])
+    def test_all_beside_other_methods_exits_2(self, capsys, tmp_path, command, spec):
+        rest = R1_ARGS if command == "predict" else ["--input", str(tmp_path / "absent.csv")]
+        code, out, err = run(capsys, [command, *rest, "--method", spec])
+        assert (code, out) == (2, "")
+        assert err == f"error: method 'all' stands alone, not beside other ids: {spec!r}\n"
+
     def test_zero_settings_factor_exits_2(self, capsys):
         code, _, err = run(capsys, ["predict", *R1_ARGS, "--ke", "0"])
         assert code == 2

@@ -6,6 +6,7 @@ import pickle
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from cfstcol import (
     proposed_factors,
 )
 from cfstcol.capacity import CapacityPrediction
-from cfstcol.dataset import CSV_HEADER, RatioStats, RowResult, _moments, evaluate_rows
+from cfstcol.dataset import CSV_HEADER, RatioStats, RowResult, _Moments, evaluate_rows
 
 approx = pytest.approx
 
@@ -562,6 +563,14 @@ def _overflowing_ratios(draw):
     return draw(st.permutations([math.copysign(x, sign) for x in huge + tail]))
 
 
+def _moments(ratios):
+    """(mean, STD) of a list of ratios, fed one at a time through one accumulator."""
+    moments = _Moments()
+    for x in ratios:
+        moments.add(x)
+    return moments.result()
+
+
 class TestSampleStd:
     def test_correctly_rounded_literal(self):
         # statistics.stdev gives 0.2803121771644369 under Python 3.10; the
@@ -589,6 +598,34 @@ class TestSampleStd:
     @example(ratios=[-1.7e308, 1.7e308])  # a STD beyond the float range
     def test_matches_the_integer_ratio_oracle(self, ratios):
         assert _moments(ratios)[1] == _oracle_std(ratios)
+
+
+class TestAccumulator:
+    @given(ratios=st.lists(_RATIO, min_size=1, max_size=30),
+           special=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=3),
+           data=st.data())
+    def test_the_order_of_the_ratios_does_not_matter(self, ratios, special, data):
+        ratios = ratios + special
+        shuffled = data.draw(st.permutations(ratios))
+
+        def bits(pair):  # a float's hex form; every nan reads as "nan"
+            return tuple(None if x is None else x.hex() for x in pair)
+        assert bits(_moments(shuffled)) == bits(_moments(ratios))
+
+    def test_the_state_does_not_grow_with_the_rows(self):
+        prediction = CapacityPrediction(MethodId.ACI, 700e3, ApplicabilityReport(), {})
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stats = RatioStats((MethodId.ACI,))
+            for i in range(10_000):
+                row = RowResult(i, record(ntest=500.0 + i / 7), 30.0, "NSC", (), None, (prediction,))
+                stats.add(row)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert stats.n_applicable == [10_000]
+        assert held < 64 * 1024
 
 
 class TestCov:
