@@ -158,18 +158,16 @@ def kc(f_c: float) -> float:
 
 
 def dilation_angle(xi_c: float) -> float:
-    """Dilation angle (degrees) from the confinement factor, clamped to [0, 56.3].
+    """Dilation angle (degrees) from the confinement factor, in [6.672, 56.3].
 
     Linear branch 56.3*(1 - xi_c) up to xi_c = 0.5, exponential decay
-    6.672*exp(7.4/(4.64 + xi_c)) beyond; the branches agree at 0.5.
+    6.672*exp(7.4/(4.64 + xi_c)) beyond, down to 6.672; they agree at 0.5.
     """
     if xi_c < 0:
         raise ValueError("xi_c must be non-negative")
     if xi_c <= 0.5:
-        psi = PSI_MAX * (1.0 - xi_c)
-    else:
-        psi = 6.672 * math.exp(7.4 / (4.64 + xi_c))
-    return min(max(psi, 0.0), PSI_MAX)
+        return PSI_MAX * (1.0 - xi_c)
+    return 6.672 * math.exp(7.4 / (4.64 + xi_c))
 
 
 def fracture_energy(f_c: float, d_max: float) -> float:
@@ -239,8 +237,6 @@ def confined_peak_strain(eps_c0: float, f_r: float, f_c: float) -> float:
         raise ValueError("eps_c0 and f_c must be positive")
     if f_r < 0:
         raise ValueError("f_r must be non-negative")
-    if f_r == 0.0:
-        return eps_c0
     return eps_c0 * (1.0 + 17.4 * (f_r / f_c) ** 1.06)
 
 

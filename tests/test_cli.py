@@ -595,18 +595,46 @@ def test_batch_on_any_cells_exits_0_with_strict_json(replacements, method):
     assert summary["n_rows"] + len(summary["row_errors"]) <= len(rows)
 
 
-def test_batch_on_the_adversarial_file_gives_its_pinned_outcome(tmp_path):
-    # the outcome that tools/ci_checks.py cross-interpreter holds every interpreter to
+def _ci_checks():
+    """tools/ci_checks.py, loaded as a module."""
     spec = importlib.util.spec_from_file_location(
         "ci_checks", Path(__file__).parent.parent / "tools" / "ci_checks.py")
     ci_checks = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ci_checks)
+    return ci_checks
+
+
+def test_batch_on_the_adversarial_file_gives_its_pinned_outcome(tmp_path):
+    # the outcome that tools/ci_checks.py cross-interpreter holds every interpreter to
+    ci_checks = _ci_checks()
     source, summary = tmp_path / "adversarial.csv", tmp_path / "summary.json"
     source.write_text(ci_checks.ADVERSARIAL, encoding="utf-8")
     assert main(["batch", "--input", str(source), "--out", str(tmp_path / "rows.csv"),
                  "--summary-out", str(summary)]) == 0
     outcome = ci_checks.adversarial_outcome(summary.read_text(encoding="utf-8"))
     assert outcome == ci_checks.ADVERSARIAL_OUTCOME
+
+
+def test_the_workflow_runs_each_check_once():
+    # every tools/ci_checks.py step runs once, and pytest runs directly only on the
+    # benchmark's self-tests: the statements step is CI's tier-1 run
+    steps = list(_ci_checks().STEPS)
+    root = Path(__file__).parent.parent
+    workflow = root / ".github" / "workflows" / "tests.yml"
+    invoked, pytest_targets = [], []
+    for line in workflow.read_text(encoding="utf-8").splitlines():
+        words = line.strip().removeprefix("run:").split()
+        while words and "=" in words[0]:
+            words.pop(0)  # an environment assignment before the command
+        if words[:2] == ["python", "tools/ci_checks.py"]:
+            # the step names come before any option; with none, every step runs
+            named = list(itertools.takewhile(lambda w: not w.startswith("-"), words[2:]))
+            invoked += named or steps
+        elif words[:3] == ["python", "-m", "pytest"] or words[:1] == ["pytest"]:
+            # the paths of the checkout it names; none means the whole rootdir, tests/ included
+            pytest_targets.append([w for w in words if (root / w).exists()])
+    assert sorted(invoked) == sorted(steps)
+    assert pytest_targets == [["bench/selftest.py"]]
 
 
 def test_predict_gives_the_batch_loads_of_every_golden_row(capsys, tmp_path):

@@ -4,19 +4,19 @@ Run from anywhere in a checkout:
 
     python tools/ci_checks.py [STEP ...] [--command CMD]
 
-STEP is any of imports, statements, smoke, traced-batch-all, traced-batch-ingest,
-traced-column-sweep, golden and cross-interpreter; with none, all run in that
-order.  Each step prints ``ok`` or ``FAIL``, and the exit status is 1 if any step
-failed.  The statements step runs the test suite under tests/ in this process
-(it needs pytest and hypothesis) and lists each statement of src/cfstcol/ that
-it leaves unexecuted.  The benchmark steps run ``bench/run.py`` for two seconds
-on seed 1.  The golden step runs every single-column case of
-``tests/golden_cases.py`` and the batch on the golden input; ``--command`` is
-the cfstcol command it runs, split on spaces (default: this interpreter's
-``python -m cfstcol.cli`` on ``src/`` of the checkout; CI passes the installed
-``cfstcol`` console script).  The cross-interpreter step runs the golden step,
-then the batch on more inputs, under every pyenv interpreter from 3.10 on, and
-is skipped without pyenv.
+STEP is any of imports, statements, traced, golden and cross-interpreter; with
+none, all run in that order.  Each step prints ``ok`` or ``FAIL``, and the exit
+status is 1 if any step failed.  The statements step is CI's tier-1 run: the
+test suite under tests/, in this process with ``-W error`` and Hypothesis seed 0
+(it needs pytest and hypothesis); it lists each statement of src/cfstcol/ left
+unexecuted.  The traced step runs each workload of ``bench/run.py`` once, for
+two seconds on seed 1 with ``--trace 1``, and prints each TRACED pin it misses.
+The golden step runs every single-column case of ``tests/golden_cases.py`` and
+the batch on the golden input; ``--command`` is the cfstcol command it runs,
+split on spaces (default: this interpreter's ``python -m cfstcol.cli`` on
+``src/`` of the checkout; CI passes the installed ``cfstcol`` console script).
+The cross-interpreter step runs the golden step, then the batch on more inputs,
+under every pyenv interpreter from 3.10 on, and is skipped without pyenv.
 """
 
 from __future__ import annotations
@@ -77,6 +77,25 @@ ADVERSARIAL_OUTCOME = {
         (17, "unreadable record: field larger than field limit (131072)"),
     ]],
 }
+# the traced step's pins on each workload's seed-1 run, metric: (total, operations), whose
+# value must be total / operations; and whether each of the 13 per-method spans has time
+TRACED = {
+    # the gate's calls, each method's applicable rows of the 9356 predicted, and one
+    # second-moment call per column built; the spans are timed in dataset.predict
+    "batch-all": ({"capacity.check_applicability.calls": (121628, 1),
+                   "section.section_second_moments.calls_per_row": (9356, 10_000),
+                   **{f"capacity.applicable_share.{method}": (n, 9356) for method, n in {
+                       "ec4": 4686, "aisc": 2130, "cisc": 9356, "dbj": 1130, "aci": 4686,
+                       "oshea": 9032, "yu": 424, "liu": 9356, "sun": 9356, "zhong_miao": 9356,
+                       "guo": 6445, "de_oliveira": 8193, "proposed": 9356}.items()}}, True),
+    # one conversion per parsed row; one gate and one second-moment call per column built
+    "batch-ingest": ({"section.convert_strength.calls": (38068, 1),
+                      "capacity.check_applicability.calls": (36086, 1),
+                      "section.section_second_moments.calls_per_row": (36086, 40_000)}, False),
+    # predict_all gates 13 methods x 3000 columns and dispatches through capacity.predict
+    "column-sweep": ({"capacity.check_applicability.calls": (39000, 1),
+                      "section.section_second_moments.calls_per_row": (1, 1)}, True),
+}
 
 
 def adversarial_outcome(summary_text: str) -> dict:
@@ -129,9 +148,9 @@ def _statement_lines(path: Path) -> set[int]:
 
 
 def statements(command: list[str] | None) -> bool:
-    """Tier-1, run in this process under a line tracer with a fixed Hypothesis seed, executes
-    every statement of src/cfstcol/ but docstrings and the ``if __name__ == "__main__":``
-    body; each one it does not is listed as file:line."""
+    """Tier-1 passes, run in this process under a line tracer with ``-W error`` and a fixed
+    Hypothesis seed, and executes every statement of src/cfstcol/ but docstrings and the
+    ``if __name__ == "__main__":`` body; each one it does not is listed as file:line."""
     import threading
 
     import pytest
@@ -157,7 +176,8 @@ def statements(command: list[str] | None) -> bool:
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        ok = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "tests"]) == 0
+        ok = pytest.main(["-q", "-W", "error", "--continue-on-collection-errors",
+                          "-p", "no:cacheprovider", "--hypothesis-seed=0", "tests"]) == 0
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -169,63 +189,28 @@ def statements(command: list[str] | None) -> bool:
     return ok
 
 
-def _bench(workload: str, trace: int) -> tuple[dict, dict]:
-    """The final JSON line of a two-second seed-1 benchmark run, and its metric values."""
-    out = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
-         "--seconds", "2", "--trace", str(trace)],
-        cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True,
-    ).stdout
-    d = json.loads(out.splitlines()[-1])
-    return d, {k: v["value"] for k, v in d["metrics"].items()}
-
-
-def _spans(m: dict) -> list[str]:
-    return [k for k in m if k.startswith("capacity.predict.") and k.endswith(".self_us")]
-
-
-def smoke(command: list[str] | None) -> bool:
-    """Every workload's outputs pass the benchmark's checker."""
-    return all(_bench(w, 0)[0]["correct"] is True
-               for w in ("batch-all", "batch-ingest", "column-sweep"))
-
-
-def traced_batch_all(command: list[str] | None) -> bool:
-    """Every prediction passes through the traced capacity.check_applicability, and the row
-    loop dispatches through dataset.predict, where the 13 per-method spans live; the gate
-    admits each method's seed-1 applicable count of the 9356 predicted rows, and the
-    section's second moments are computed once per column built."""
-    d, m = _bench("batch-all", 1)
-    spans = _spans(m)
-    applicable = {"ec4": 4686, "aisc": 2130, "cisc": 9356, "dbj": 1130, "aci": 4686,
-                  "oshea": 9032, "yu": 424, "liu": 9356, "sun": 9356, "zhong_miao": 9356,
-                  "guo": 6445, "de_oliveira": 8193, "proposed": 9356}
-    return (d["correct"] is True and m["capacity.check_applicability.calls"] == 121628
-            and round(m["section.section_second_moments.calls_per_row"] * 10000) == 9356
-            and len(spans) == 13 and all(m[k] > 0 for k in spans)
-            and all(round(m[f"capacity.applicable_share.{k}"] * 9356) == n
-                    for k, n in applicable.items()))
-
-
-def traced_batch_ingest(command: list[str] | None) -> bool:
-    """Parsing validates rows without building value types: strength conversion runs once
-    per parsed row, and the applicability gate and the second moments once per column
-    built, all in column_from_record."""
-    d, m = _bench("batch-ingest", 1)
-    return (d["correct"] is True and m["section.convert_strength.calls"] == 38068
-            and m["capacity.check_applicability.calls"] == 36086
-            and round(m["section.section_second_moments.calls_per_row"] * 40000) == 36086)
-
-
-def traced_column_sweep(command: list[str] | None) -> bool:
-    """The in-process predict_all path: 13 methods x 3000 columns pass the applicability
-    gate, predict_all dispatches through capacity.predict, where the per-method spans live,
-    and each column computes its second moments once."""
-    d, m = _bench("column-sweep", 1)
-    spans = _spans(m)
-    return (d["correct"] is True and m["capacity.check_applicability.calls"] == 39000
-            and m["section.section_second_moments.calls_per_row"] == 1.0
-            and len(spans) == 13 and all(m[k] > 0 for k in spans))
+def traced(command: list[str] | None) -> bool:
+    """Each workload's seed-1 run with ``--trace 1`` is correct (run.traced_run checks the
+    untraced and the traced output of every call, and that the two are the same bytes),
+    every TRACED pin holds, and where asked, each of the 13 per-method spans has time."""
+    ok = True
+    for workload, (pins, spans) in TRACED.items():
+        out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+                              "--seconds", "2", "--trace", "1"],
+                             cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True).stdout
+        d = json.loads(out.splitlines()[-1])
+        m = {k: v["value"] for k, v in d["metrics"].items()}
+        misses = [f"{name} is {m[name]!r}, pinned at {total} of {operations}"
+                  for name, (total, operations) in pins.items() if m[name] != total / operations]
+        timed = sum(k.startswith("capacity.predict.") and m[k] > 0 for k in m)
+        if spans and timed != 13:
+            misses.append(f"{timed} of 13 capacity.predict.* spans have time")
+        if d["correct"] is not True:
+            misses.append("an output failed the benchmark's checker")
+        for miss in misses:
+            print(f"traced: {workload}: {miss}")
+        ok &= not misses
+    return ok
 
 
 def _same(actual: str, expected: Path, label: str) -> bool:
@@ -348,10 +333,7 @@ def cross_interpreter(command: list[str] | None) -> bool:
 STEPS = {
     "imports": imports,
     "statements": statements,
-    "smoke": smoke,
-    "traced-batch-all": traced_batch_all,
-    "traced-batch-ingest": traced_batch_ingest,
-    "traced-column-sweep": traced_column_sweep,
+    "traced": traced,
     "golden": golden,
     "cross-interpreter": cross_interpreter,
 }
