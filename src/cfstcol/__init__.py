@@ -15,12 +15,11 @@ __version__ = "0.1.0"
 # the public names, by the module that defines them
 _EXPORTS = {
     "capacity": (
-        "DEFAULT_SETTINGS", "ApplicabilityReport", "CapacityPrediction", "Ec4Coefficients",
-        "MethodId", "OliveiraMode", "PredictionSettings", "ProposedFactors", "Violation",
-        "check_applicability", "ec4_coefficients", "eta_c", "eta_s", "predict", "predict_aci",
-        "predict_aisc", "predict_all", "predict_cisc", "predict_dbj", "predict_ec4",
-        "predict_guo", "predict_liu", "predict_oliveira", "predict_oshea", "predict_proposed",
-        "predict_sun", "predict_yu", "predict_zhong_miao", "proposed_factors",
+        "DEFAULT_SETTINGS", "ApplicabilityReport", "CapacityPrediction", "MethodId",
+        "OliveiraMode", "PredictionSettings", "Violation", "check_applicability", "eta_c",
+        "eta_s", "predict", "predict_aci", "predict_aisc", "predict_all", "predict_cisc",
+        "predict_dbj", "predict_ec4", "predict_guo", "predict_liu", "predict_oliveira",
+        "predict_oshea", "predict_proposed", "predict_sun", "predict_yu", "predict_zhong_miao",
     ),
     "cards": ("render_cdpm_card",),
     "dataset": (

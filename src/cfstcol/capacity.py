@@ -128,23 +128,6 @@ class CapacityPrediction(NamedTuple):
     diagnostics: tuple[str, ...] = ()
 
 
-class Ec4Coefficients(NamedTuple):
-    """EC4 intermediate quantities: relative slenderness and the clamped coefficients."""
-
-    lambda_bar: float
-    eta_a: float
-    eta_c_ec4: float
-    N_pl_Rk: float
-    N_cr: float
-
-
-class ProposedFactors(NamedTuple):
-    """Concrete intensification and steel diminution factors of the superposition formula."""
-
-    eta_c: float
-    eta_s: float
-
-
 # ---------------------------------------------------------------------------
 # applicability limits
 # ---------------------------------------------------------------------------
@@ -252,27 +235,21 @@ _EC4_ACI_LIMITS = (
 )
 
 
-def ec4_coefficients(
-    column: ColumnSpec, settings: PredictionSettings = DEFAULT_SETTINGS
-) -> Ec4Coefficients:
-    """Relative slenderness and the (clamped) EC4 coefficients for a column."""
+@_method(MethodId.EC4, *_EC4_ACI_LIMITS)
+def predict_ec4(column: ColumnSpec, settings: PredictionSettings) -> _Result:
+    """EC4 capacity with the confinement enhancement term on the concrete part.
+
+    The intermediates are the relative slenderness and the clamped coefficients.
+    """
+    f_y, f_c = column.steel.f_y, column.concrete.f_c
+    D, t = column.section.D, column.section.t
     EI_eff = column.steel.E_s * column.I_s + settings.K_e * column.concrete.E_c * column.I_c
     N_cr = math.pi**2 * EI_eff / (settings.K * column.section.L) ** 2
-    N_pl_Rk = column.steel.f_y * column.A_s + 0.85 * column.concrete.f_c * column.A_c
+    N_pl_Rk = f_y * column.A_s + 0.85 * f_c * column.A_c
     lam = math.sqrt(N_pl_Rk / N_cr)
     eta_a = min(0.25 * (3.0 + 2.0 * lam), 1.0)
     eta_c4 = max(4.9 - 18.5 * lam + 17.0 * lam**2, 0.0)
-    return Ec4Coefficients(lam, eta_a, eta_c4, N_pl_Rk, N_cr)
-
-
-@_method(MethodId.EC4, *_EC4_ACI_LIMITS)
-def predict_ec4(column: ColumnSpec, settings: PredictionSettings) -> _Result:
-    """EC4 capacity with the confinement enhancement term on the concrete part."""
-    lam, eta_a, eta_c4, N_pl_Rk, N_cr = ec4_coefficients(column, settings)
-    f_y, f_c = column.steel.f_y, column.concrete.f_c
-    D, t = column.section.D, column.section.t
     N = eta_a * column.A_s * f_y + column.A_c * f_c * (1.0 + eta_c4 * (t * f_y) / (D * f_c))
-    # Ec4Coefficients' fields in order
     return N, {"lambda_bar": lam, "eta_a": eta_a, "eta_c_ec4": eta_c4,
                "N_pl_Rk": N_pl_Rk, "N_cr": N_cr}, ()
 
@@ -519,13 +496,6 @@ def eta_c(dt_ratio: float, f_c: float, xi_c: float) -> float:
     return 0.85 + 0.3 * dt_ratio**0.328 * f_c**0.1 * xi_c
 
 
-def proposed_factors(column: ColumnSpec) -> ProposedFactors:
-    return ProposedFactors(
-        eta_c=eta_c(column.dt_ratio, column.concrete.f_c, column.xi_c),
-        eta_s=eta_s(column.alpha_s, column.concrete.f_c, column.steel.f_y),
-    )
-
-
 # DATABASE_ENVELOPE as (name, quantity, lo, hi), in its order
 _ENVELOPE = tuple((name, _QUANTITY[name], lo, hi) for name, (lo, hi) in DATABASE_ENVELOPE.items())
 
@@ -546,8 +516,10 @@ def predict_proposed(column: ColumnSpec, settings: PredictionSettings) -> _Resul
     Applicable for any column; excursions outside the calibration envelope
     are reported as diagnostics.
     """
-    e_c, e_s = proposed_factors(column)
-    N = e_c * column.A_c * column.concrete.f_c + e_s * column.A_s * column.steel.f_y
+    f_y, f_c = column.steel.f_y, column.concrete.f_c
+    e_c = eta_c(column.dt_ratio, f_c, column.xi_c)
+    e_s = eta_s(column.alpha_s, f_c, f_y)
+    N = e_c * column.A_c * f_c + e_s * column.A_s * f_y
     return N, {"eta_c": e_c, "eta_s": e_s}, _envelope_flags(column)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .section import FY_VALID_RANGE, ColumnSpec, SteelMaterial, _require_finite
@@ -23,21 +22,12 @@ BETA_SOFTENING = 1.2
 EPS_C0_FIT_RANGE = (6.0, 105.0)  # MPa, fitted range of the peak-strain regression
 
 
-@dataclass(frozen=True, slots=True)
-class StressStrainCurve:
-    """Ordered (strain, stress MPa) samples for one material, and its model's flags."""
+class StressStrainCurve(NamedTuple):
+    """(strain, stress MPa) samples for one material from (0, 0), strains strictly
+    increasing, and its model's flags."""
 
     points: tuple[tuple[float, float], ...]
     flags: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(self.points) < 2:
-            raise ValueError("a curve needs at least two points")
-        if self.points[0] != (0.0, 0.0):
-            raise ValueError("curve must start at (0, 0)")
-        strains = [p[0] for p in self.points]
-        if not all(map(operator.lt, strains, strains[1:])):
-            raise ValueError("strains must be strictly increasing")
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +48,6 @@ class SteelCurveParams(NamedTuple):
     E_p: float
     p: float | None
     flags: tuple[str, ...] = ()
-
-    @property
-    def degenerate_plateau(self) -> bool:
-        return self.p is None
 
 
 def steel_curve_params(steel: SteelMaterial) -> SteelCurveParams:
@@ -345,12 +331,13 @@ def concrete_stress(eps: float, f_c: float, E_c: float, params: ConfinedConcrete
 
 
 def sample_grid(breakpoints: Sequence[float], eps_max: float, n: int) -> list[float]:
-    """Monotone strain grid on [0, eps_max] with every interior breakpoint placed exactly.
+    """Strictly increasing strain grid on [0, eps_max], each interior breakpoint placed exactly.
 
     The remaining samples are spread uniformly within the stages between
     breakpoints, allocated proportionally to stage length.  The grid has n
     points when n covers all knots, and grows beyond n otherwise so that no
-    breakpoint is ever dropped.
+    breakpoint is ever dropped.  A stage too short in floating point for its
+    samples would repeat a strain: that raises ValueError.
     """
     if eps_max <= 0:
         raise ValueError("eps_max must be positive")
@@ -372,6 +359,8 @@ def sample_grid(breakpoints: Sequence[float], eps_max: float, n: int) -> list[fl
     grid = [a + d * j / m for a, d, m in zip(knots, lengths, [k + 1 for k in counts])
             for j in range(m)]
     grid.append(knots[-1])
+    if not all(map(operator.lt, grid, grid[1:])):
+        raise ValueError("strains must be strictly increasing")
     return grid
 
 

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from cfstcol import CircularSection, ColumnSpec, ConcreteMaterial, SteelMaterial
+
+# the profile of ``tools/ci_checks.py statements``: without an example database, a fixed
+# seed runs the same examples whatever the checkout's .hypothesis/ holds, and writes none
+settings.register_profile("gate", database=None)
 
 
 def build_column(D, t, L, fy, fc, fu=None, Es=None, dmax=None, Ec=None) -> ColumnSpec:

@@ -26,7 +26,6 @@ from cfstcol import (
     confining_pressure,
     convert_strength,
     dilation_angle,
-    ec4_coefficients,
     eta_c,
     evaluate_dataset,
     kc,
@@ -215,11 +214,12 @@ def test_ec4_coefficient_clamps():
     clamp_a = clamp_c = False
     for i in range(80):
         L = 1.0 + 5200.0 * i / 79
-        c = ec4_coefficients(build_column(100.0, 5.0, L, 300.0, 30.0, fu=450.0))
-        lambdas.append(c.lambda_bar)
-        ok &= c.eta_a <= 1.0 and c.eta_c_ec4 >= 0.0
-        clamp_a |= c.eta_a == 1.0
-        clamp_c |= c.eta_c_ec4 == 0.0
+        column = build_column(100.0, 5.0, L, 300.0, 30.0, fu=450.0)
+        c = predict(column, MethodId.EC4).intermediates
+        lambdas.append(c["lambda_bar"])
+        ok &= c["eta_a"] <= 1.0 and c["eta_c_ec4"] >= 0.0
+        clamp_a |= c["eta_a"] == 1.0
+        clamp_c |= c["eta_c_ec4"] == 0.0
     ok &= min(lambdas) < 0.01 and max(lambdas) > 2.0 and clamp_a and clamp_c
     report(
         "EC4 clamps eta_a <= 1 and eta_c >= 0 over lambda_bar in [0, 2]",

@@ -13,7 +13,6 @@ from cfstcol import (
     SectionError,
     Violation,
     check_applicability,
-    ec4_coefficients,
     eta_c,
     eta_s,
     predict,
@@ -31,7 +30,6 @@ from cfstcol import (
     predict_sun,
     predict_yu,
     predict_zhong_miao,
-    proposed_factors,
 )
 from cfstcol.capacity import (
     _METHODS,
@@ -78,15 +76,15 @@ class TestEc4:
         assert pred.intermediates["N_cr"] == approx(42479661.5087, rel=1e-9)
 
     def test_zero_slenderness_limit(self, make_column):
-        c = ec4_coefficients(build_column(100, 5, 1.0, 300, 30, fu=450))
-        assert c.eta_a == approx(0.75, rel=1e-3)
-        assert c.eta_c_ec4 == approx(4.9, rel=1e-2)
+        c = predict_ec4(build_column(100, 5, 1.0, 300, 30, fu=450)).intermediates
+        assert c["eta_a"] == approx(0.75, rel=1e-3)
+        assert c["eta_c_ec4"] == approx(4.9, rel=1e-2)
 
     def test_clamps(self, make_column):
         # long column: eta_a capped at 1, eta_c floored at 0
-        c = ec4_coefficients(build_column(100, 5, 4000, 300, 30, fu=450))
-        assert c.eta_a == 1.0
-        assert c.eta_c_ec4 >= 0.0
+        c = predict_ec4(build_column(100, 5, 4000, 300, 30, fu=450)).intermediates
+        assert c["eta_a"] == 1.0
+        assert c["eta_c_ec4"] >= 0.0
 
     def test_low_strength_gated(self, make_column):
         pred = predict_ec4(make_column(100, 5, 300, 300, 15))
@@ -368,9 +366,9 @@ class TestOliveira:
 
 class TestProposed:
     def test_factors(self, r1):
-        factors = proposed_factors(r1)
-        assert factors.eta_c == approx(3.49143422597, rel=1e-9)
-        assert factors.eta_s == approx(0.351808943648, rel=1e-9)
+        factors = predict_proposed(r1).intermediates
+        assert factors["eta_c"] == approx(3.49143422597, rel=1e-9)
+        assert factors["eta_s"] == approx(0.351808943648, rel=1e-9)
 
     def test_reference(self, r1):
         pred = predict_proposed(r1)
@@ -729,7 +727,7 @@ class TestSlendernessReadsTheColumn:
         stiff = build_column(100, 5, 300, 300, 30, fu=450, Es=200_000)
         object.__setattr__(stiff, "I_s", math.inf)
         object.__setattr__(stiff, "I_c", math.inf)
-        assert ec4_coefficients(stiff).lambda_bar == 0.0
+        assert predict_ec4(stiff).intermediates["lambda_bar"] == 0.0
         assert predict_cisc(stiff).intermediates["lambda"] == 0.0
         assert predict_aisc(stiff).N_u == predict_aisc(stiff).intermediates["P_0"]
         assert predict_aisc(r1).N_u < predict_aisc(stiff).N_u

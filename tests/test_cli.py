@@ -194,6 +194,17 @@ class TestRespond:
         assert code == 2
 
 
+@pytest.mark.parametrize("command,n", [(["curve", "steel"], "3"), (["curve", "concrete"], "8"),
+                                       (["respond"], "8")])
+def test_a_grid_that_repeats_a_strain_exits_2(capsys, command, n):
+    # the smallest subnormal extent leaves no float between 0 and eps_max for the samples
+    code, out, err = run(capsys, [*command, *taken(command, R1_ARGS), "--n", n,
+                                  "--eps-max", "5e-324"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: strains must be strictly increasing\n"
+
+
 class TestModelFlags:
     """Each flag of the models a subcommand samples is one line: ``validity:`` on stderr
     after the CSV subcommands' output, ``# validity:`` in the card."""

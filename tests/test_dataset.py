@@ -23,12 +23,11 @@ from cfstcol import (
     StatsSummary,
     Violation,
     column_from_record,
-    ec4_coefficients,
     evaluate_dataset,
     parse_dataset,
     predict,
     predict_all,
-    proposed_factors,
+    sample_concrete_curve,
 )
 from cfstcol.capacity import CapacityPrediction
 from cfstcol.dataset import CSV_HEADER, RatioStats, RowResult, _Moments, evaluate_rows
@@ -442,7 +441,7 @@ class TestEvaluate:
         column, converted = column_from_record(record())
         rows, _ = evaluate_dataset([record()], (MethodId.ACI,))
         values = [record(), rows[0], converted, predict(column, MethodId.ACI),
-                  ec4_coefficients(column), proposed_factors(column)]
+                  sample_concrete_curve(column, 8, 0.03)]
         for value in values:
             with pytest.raises(AttributeError):
                 setattr(value, type(value)._fields[0], None)
@@ -535,7 +534,8 @@ class TestRecordRule:
         report = ApplicabilityReport((Violation("fy <= 525 MPa", 525.0, 600.0),))
         _, (summary,) = evaluate_dataset([record(), record(ntest=800.0)], (MethodId.ACI,))
         parsed = parse_dataset(HEADER + "\nok,100,5,300,300,,,30,,,650\nbad,1\n")
-        for value in (report, ApplicabilityReport(), summary, parsed):
+        curve = sample_concrete_curve(column_from_record(record())[0], 8, 0.03)
+        for value in (report, ApplicabilityReport(), summary, parsed, curve):
             assert isinstance(value, tuple) and not dataclasses.is_dataclass(value)
             assert pickle.loads(pickle.dumps(value)) == value
         assert type(summary) is StatsSummary and type(parsed) is ParsedDataset

@@ -23,15 +23,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 WATCHED = "{m for m in sys.modules if m.split('.')[0] == 'cfstcol' or m in ('csv', 'json')}"
 
 # the package's public names by defining module: every name it exported
-# before it resolved them lazily, except the removed CurveKind and peak_load
+# before it resolved them lazily, except the removed CurveKind, peak_load,
+# Ec4Coefficients, ProposedFactors, ec4_coefficients and proposed_factors
 EXPORTS = {
     "capacity": [
-        "DEFAULT_SETTINGS", "ApplicabilityReport", "CapacityPrediction", "Ec4Coefficients",
-        "MethodId", "OliveiraMode", "PredictionSettings", "ProposedFactors", "Violation",
-        "check_applicability", "ec4_coefficients", "eta_c", "eta_s", "predict", "predict_aci",
-        "predict_aisc", "predict_all", "predict_cisc", "predict_dbj", "predict_ec4",
-        "predict_guo", "predict_liu", "predict_oliveira", "predict_oshea", "predict_proposed",
-        "predict_sun", "predict_yu", "predict_zhong_miao", "proposed_factors",
+        "DEFAULT_SETTINGS", "ApplicabilityReport", "CapacityPrediction", "MethodId",
+        "OliveiraMode", "PredictionSettings", "Violation", "check_applicability", "eta_c",
+        "eta_s", "predict", "predict_aci", "predict_aisc", "predict_all", "predict_cisc",
+        "predict_dbj", "predict_ec4", "predict_guo", "predict_liu", "predict_oliveira",
+        "predict_oshea", "predict_proposed", "predict_sun", "predict_yu", "predict_zhong_miao",
     ],
     "cards": ["render_cdpm_card"],
     "dataset": [

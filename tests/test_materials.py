@@ -44,7 +44,6 @@ class TestSteelCurveParams:
         assert params.eps_u == approx(0.15)
         assert params.E_p == approx(4000.0)
         assert params.p == approx(3.4, rel=1e-12)
-        assert not params.degenerate_plateau
 
     def test_high_strength_branch(self):
         params = steel_curve_params(SteelMaterial(460.0, 575.0, 200_000.0))
@@ -62,7 +61,6 @@ class TestSteelCurveParams:
 
     def test_degenerate_plateau(self):
         params = steel_curve_params(SteelMaterial(300.0, 300.0, 200_000.0))
-        assert params.degenerate_plateau
         assert params.p is None
         assert any("plateau" in f for f in params.flags)
 
@@ -317,15 +315,30 @@ class TestSampling:
             assert any(math.isclose(s, 1.8897e-3, rel_tol=1e-12) for s, _ in curve.points)
             assert any(math.isclose(s, 0.00890336203699, rel_tol=1e-9) for s, _ in curve.points)
 
-    def test_curve_validation(self):
-        with pytest.raises(ValueError):
-            StressStrainCurve(((0.0, 0.0),))
-        with pytest.raises(ValueError):
-            StressStrainCurve(((0.0, 1.0), (0.1, 2.0)))
-        with pytest.raises(ValueError):
-            StressStrainCurve(((0.0, 0.0), (0.1, 2.0), (0.1, 3.0)))
-        with pytest.raises(ValueError):
-            StressStrainCurve(((0.0, 0.0), (math.nan, 2.0), (0.1, 3.0)))
+    def test_curve_validation(self, r1):
+        # an extent of one subnormal leaves no room for the samples, so the grid repeats a strain
+        with pytest.raises(ValueError, match="^strains must be strictly increasing$"):
+            sample_steel_curve(STEEL_R1, 3, eps_max=5e-324)
+        with pytest.raises(ValueError, match="^strains must be strictly increasing$"):
+            sample_concrete_curve(r1, 8, 5e-324)
+        with pytest.raises(ValueError, match="^strains must be strictly increasing$"):
+            sample_grid([], 5e-324, 3)
+
+    @given(eps_max=st.floats(5e-324, 1e300), n=st.integers(2, 400), data=st.data())
+    def test_grid_strictly_increases_or_raises(self, eps_max, n, data):
+        # any floats, and ones inside the extent, where stages can shrink to a few ulps
+        breakpoints = data.draw(st.lists(st.one_of(st.floats(), st.floats(0.0, eps_max)),
+                                         max_size=6))
+        try:
+            grid = sample_grid(breakpoints, eps_max, n)
+        except ValueError as exc:
+            assert str(exc) == "strains must be strictly increasing"
+            return
+        inside = {b for b in breakpoints if 0.0 < b < eps_max}
+        assert grid[0] == 0.0 and grid[-1] == eps_max
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+        assert inside <= set(grid)
+        assert len(grid) == max(n, len(inside) + 2)
 
 
 
@@ -368,7 +381,7 @@ def steel_stress_reference(eps, steel, params):
         raise ValueError("strain must be non-negative (use magnitude symmetry for compression)")
     if eps <= params.eps_y:
         return steel.E_s * eps
-    if eps <= params.eps_p or params.degenerate_plateau:
+    if eps <= params.eps_p or params.p is None:
         return steel.f_y
     if eps <= params.eps_u:
         frac = (params.eps_u - eps) / (params.eps_u - params.eps_p)
@@ -542,6 +555,7 @@ class TestRecords:
         (SteelCurveParams, ("eps_y", "eps_p", "eps_u", "E_p", "p", "flags")),
         (ConfinedConcreteParams, ("eps_c0", "f_r", "eps_cc", "f_re", "alpha", "beta", "flags")),
         (CdpmParameterSet, ("psi", "ecc", "fb0_ratio", "K_c", "viscosity", "G_f")),
+        (StressStrainCurve, ("points", "flags")),
     ])
     def test_fields(self, record, fields):
         assert issubclass(record, tuple)
@@ -551,7 +565,3 @@ class TestRecords:
         assert SteelCurveParams(0.001, 0.01, 0.1, 4000.0, 3.0).flags == ()
         assert ConfinedConcreteParams(0.002, 1.0, 0.003, 5.0, 0.02, 1.2).flags == ()
         assert StressStrainCurve(((0.0, 0.0), (0.1, 2.0))).flags == ()
-
-    def test_degenerate_plateau(self):
-        assert SteelCurveParams(0.001, 0.01, 0.1, 4000.0, None).degenerate_plateau is True
-        assert SteelCurveParams(0.001, 0.01, 0.1, 4000.0, 3.0).degenerate_plateau is False

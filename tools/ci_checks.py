@@ -7,9 +7,10 @@ Run from anywhere in a checkout:
 STEP is any of imports, statements, traced, golden and cross-interpreter; with
 none, all run in that order.  Each step prints ``ok`` or ``FAIL``, and the exit
 status is 1 if any step failed.  The statements step is CI's tier-1 run: the
-test suite under tests/, in this process with ``-W error`` and Hypothesis seed 0
-(it needs pytest and hypothesis); it lists each statement of src/cfstcol/ left
-unexecuted.  The traced step runs each workload of ``bench/run.py`` once, for
+test suite under tests/, in this process with ``-W error``, Hypothesis seed 0 and
+the ``gate`` profile of tests/conftest.py, which reads and writes no example
+database (it needs pytest and hypothesis); it lists each statement of src/cfstcol/
+left unexecuted.  The traced step runs each workload of ``bench/run.py`` once, for
 two seconds on seed 1 with ``--trace 1``, and prints each TRACED pin it misses.
 The golden step runs every single-column case of ``tests/golden_cases.py`` and
 the batch on the golden input; ``--command`` is the cfstcol command it runs,
@@ -148,9 +149,10 @@ def _statement_lines(path: Path) -> set[int]:
 
 
 def statements(command: list[str] | None) -> bool:
-    """Tier-1 passes, run in this process under a line tracer with ``-W error`` and a fixed
-    Hypothesis seed, and executes every statement of src/cfstcol/ but docstrings and the
-    ``if __name__ == "__main__":`` body; each one it does not is listed as file:line."""
+    """Tier-1 passes, run in this process under a line tracer with ``-W error``, a fixed
+    Hypothesis seed and no example database, and executes every statement of src/cfstcol/
+    but docstrings and the ``if __name__ == "__main__":`` body; each one it does not is
+    listed as file:line."""
     import threading
 
     import pytest
@@ -177,7 +179,8 @@ def statements(command: list[str] | None) -> bool:
     sys.settrace(tracer)
     try:
         ok = pytest.main(["-q", "-W", "error", "--continue-on-collection-errors",
-                          "-p", "no:cacheprovider", "--hypothesis-seed=0", "tests"]) == 0
+                          "-p", "no:cacheprovider", "--hypothesis-seed=0",
+                          "--hypothesis-profile=gate", "tests"]) == 0
     finally:
         sys.settrace(None)
         threading.settrace(None)
