@@ -277,12 +277,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     import os
 
     from .dataset import CSV_HEADER, RatioStats, evaluate_rows, parse_dataset
-    from .section import check_concrete_modulus
+    from .section import check_concrete
 
     # usage errors first, so that a bad flag costs no read or parse of the input
     methods = _parse_methods(args.method)
     settings = _settings(args)
-    check_concrete_modulus(args.ec)
+    check_concrete(1.0, None, args.ec)  # with a valid f_c and d_max, a fault is E_c's
     if args.out and args.summary_out and os.path.realpath(args.out) == os.path.realpath(args.summary_out):
         raise ValueError(f"--out and --summary-out both name {args.out}")
     try:  # with line ends as they are: parse_dataset owns the newline rule
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="evaluate a specimen dataset CSV")
     _add_config_args(p)
-    p.add_argument("--ec", type=float, help="concrete modulus override (MPa)")
+    _add_column_args(p, "ec")
     p.add_argument("--input", required=True, help="dataset CSV path")
     p.add_argument("--method", default="all", help="all or comma-separated method ids")
     p.add_argument("--summary-out", help="write the JSON summary here (default: stderr)")

@@ -34,7 +34,7 @@ from .section import (
     ColumnSpec,
     ConvertedStrength,
     SpecimenKind,
-    check_concrete_modulus,
+    check_concrete,
     check_measured_strength,
     check_section,
     check_steel,
@@ -97,6 +97,7 @@ def _parse_float(cell: str, name: str) -> float:
 
 
 def _parse_row(cells: list[str]) -> SpecimenRecord:
+    """One row's record; a value that a value type rejects raises its constructor's ValueError."""
     if len(cells) != len(CSV_HEADER):
         raise ValueError(f"expected {len(CSV_HEADER)} columns, got {len(cells)}")
     # one local per CSV_HEADER column, named after it
@@ -138,12 +139,10 @@ def _parse_row(cells: list[str]) -> SpecimenRecord:
     check_section(D, t, L)
     check_steel(f_y, f_u, E_s)
     check_measured_strength(fc_measured)
-    if d_max is not None and d_max < 0:
-        raise ValueError("dmax_mm: must be non-negative")
+    if d_max is not None:
+        check_concrete(fc_measured, d_max, None)  # any valid f_c: it is not converted yet
     if not math.isfinite(N_test):
         raise ValueError("Ntest_kN: must be finite")
-    if d_max is not None and not math.isfinite(d_max):
-        raise ValueError("dmax_mm: must be finite")
     return SpecimenRecord(
         source_id, D, t, L, f_y, f_u, E_s, fc_measured, kind, d_max, N_test, tuple(defaulted),
     )
@@ -309,7 +308,7 @@ def evaluate_rows(
     """Evaluate records one at a time, in input order, yielding each row's result.
 
     An invalid ``Ec_override`` raises ValueError before the first row."""
-    check_concrete_modulus(Ec_override)
+    check_concrete(1.0, None, Ec_override)  # with a valid f_c and d_max, a fault is E_c's
     for index, record in enumerate(records):
         try:
             column, converted = column_from_record(record, Ec_override)

@@ -241,15 +241,13 @@ class SteelMaterial:
 
     def __post_init__(self) -> None:
         f_u, E_s = check_steel(self.f_y, self.f_u, self.E_s)
-        defaulted: list[str] = []
-        if self.f_u is None:
-            defaulted.append("f_u")
+        defaulted = ("f_u",) if self.f_u is None else ()
         if self.E_s is None:
-            defaulted.append("E_s")
+            defaulted += ("E_s",)
         set_field = object.__setattr__
         set_field(self, "f_u", f_u)
         set_field(self, "E_s", E_s)
-        set_field(self, "defaulted", tuple(defaulted))
+        set_field(self, "defaulted", defaulted)
 
     @property
     def validity_flags(self) -> tuple[str, ...]:
@@ -257,6 +255,23 @@ class SteelMaterial:
         if not lo <= self.f_y <= hi:
             return (f"f_y={self.f_y:g} MPa outside steel model range [{lo:g}, {hi:g}] MPa",)
         return ()
+
+
+def check_concrete(f_c: float, d_max: float | None, E_c: float | None) -> tuple[float, float]:
+    """Raise ValueError unless the inputs make a valid ``ConcreteMaterial``; returns d_max, E_c."""
+    if f_c <= 0:
+        raise ValueError("f_c must be positive")
+    if d_max is None:
+        d_max = DMAX_DEFAULT
+    if E_c is None:
+        E_c = concrete_elastic_modulus(f_c)
+    if d_max < 0:
+        raise ValueError("d_max must be non-negative")
+    if E_c <= 0:
+        raise ValueError("E_c must be positive")
+    if not math.isfinite(f_c * d_max * E_c):
+        _require_finite(f_c=f_c, d_max=d_max, E_c=E_c)
+    return d_max, E_c
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,22 +288,14 @@ class ConcreteMaterial:
     defaulted: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.f_c <= 0:
-            raise ValueError("f_c must be positive")
-        defaulted: list[str] = []
-        if self.d_max is None:
-            object.__setattr__(self, "d_max", DMAX_DEFAULT)
-            defaulted.append("d_max")
+        d_max, E_c = check_concrete(self.f_c, self.d_max, self.E_c)
+        defaulted = ("d_max",) if self.d_max is None else ()
         if self.E_c is None:
-            object.__setattr__(self, "E_c", concrete_elastic_modulus(self.f_c))
-            defaulted.append("E_c")
-        object.__setattr__(self, "defaulted", tuple(defaulted))
-        if self.d_max < 0:
-            raise ValueError("d_max must be non-negative")
-        if self.E_c <= 0:
-            raise ValueError("E_c must be positive")
-        if not math.isfinite(self.f_c * self.d_max * self.E_c):
-            _require_finite(f_c=self.f_c, d_max=self.d_max, E_c=self.E_c)
+            defaulted += ("E_c",)
+        set_field = object.__setattr__
+        set_field(self, "d_max", d_max)
+        set_field(self, "E_c", E_c)
+        set_field(self, "defaulted", defaulted)
 
     @property
     def validity_flags(self) -> tuple[str, ...]:
@@ -296,12 +303,6 @@ class ConcreteMaterial:
         if not lo <= self.f_c <= hi:
             return (f"f_c={self.f_c:g} MPa outside database range [{lo:g}, {hi:g}] MPa",)
         return ()
-
-
-def check_concrete_modulus(E_c: float | None) -> None:
-    """Raise ValueError unless ``E_c`` is None or a modulus every ``ConcreteMaterial`` accepts."""
-    if E_c is not None:  # with a valid f_c and d_max, a fault can only be E_c's
-        ConcreteMaterial(1.0, None, E_c)
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,12 +15,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 import cfstcol
 from cfstcol import (
     ApplicabilityReport,
+    CircularSection,
+    ConcreteMaterial,
+    MeasuredStrength,
     MethodId,
     ParsedDataset,
     RowError,
     SpecimenKind,
     SpecimenRecord,
     StatsSummary,
+    SteelMaterial,
     Violation,
     column_from_record,
     evaluate_dataset,
@@ -156,9 +160,10 @@ class TestParse:
         ({"Es_MPa": "0", "fc_measured_MPa": "-1"}, "E_s must be positive"),
         ({"fc_kind": "PRISM", "dmax_mm": "-5"}, "fc_kind: unknown specimen kind 'PRISM'"),
         ({"fc_measured_MPa": "0", "dmax_mm": "-1"}, "measured strength must be positive"),
-        ({"dmax_mm": "-1", "Ntest_kN": "inf"}, "dmax_mm: must be non-negative"),
+        ({"dmax_mm": "-1", "Ntest_kN": "inf"}, "d_max must be non-negative"),
         # the default f_u = 1.25*f_y overflows to infinity
         ({"fu_MPa": "", "fy_MPa": "1.5e308"}, "f_u must be finite, got inf"),
+        ({"dmax_mm": "inf", "Ntest_kN": "inf"}, "d_max must be finite, got inf"),
     ])
     def test_first_of_two_faults_is_reported(self, cells, message):
         row = dict(zip(CSV_HEADER, "s,100,5,300,300,450,200000,30,CYL150,20,650".split(",")))
@@ -166,6 +171,30 @@ class TestParse:
         parsed = parse_dataset(HEADER + "\n" + ",".join(row.values()) + "\n")
         assert parsed.records == ()
         assert parsed.errors == (RowError(2, message),)
+
+    # each value-type rule that one cell can break, the other cells valid
+    @pytest.mark.parametrize("cell,value", [
+        *[(cell, value) for cell in ("D_mm", "t_mm", "L_mm", "fy_MPa", "Es_MPa", "fc_measured_MPa")
+          for value in ("0", "-1", "inf", "-inf", "nan")],
+        ("t_mm", "50"), ("fu_MPa", "200"), ("fu_MPa", "inf"), ("fu_MPa", "nan"),
+        ("dmax_mm", "-1"), ("dmax_mm", "-inf"), ("dmax_mm", "inf"), ("dmax_mm", "nan"),
+    ])
+    def test_a_bad_cell_gets_the_constructors_message(self, cell, value):
+        row = dict(zip(CSV_HEADER, "s,100,5,300,300,450,200000,30,CYL150,20,650".split(",")))
+        row[cell] = value
+        parsed = parse_dataset(HEADER + "\n" + ",".join(row.values()) + "\n")
+        v = {name: float(row[name]) for name in CSV_HEADER[1:-1] if name != "fc_kind"}
+        # the value type that the cell's value reaches
+        build = {"D_mm": CircularSection, "t_mm": CircularSection, "L_mm": CircularSection,
+                 "fy_MPa": SteelMaterial, "fu_MPa": SteelMaterial, "Es_MPa": SteelMaterial,
+                 "fc_measured_MPa": MeasuredStrength, "dmax_mm": ConcreteMaterial}[cell]
+        args = {CircularSection: (v["D_mm"], v["t_mm"], v["L_mm"]),
+                SteelMaterial: (v["fy_MPa"], v["fu_MPa"], v["Es_MPa"]),
+                MeasuredStrength: (v["fc_measured_MPa"], SpecimenKind.CYL150),
+                ConcreteMaterial: (v["fc_measured_MPa"], v["dmax_mm"])}[build]
+        with pytest.raises(ValueError) as exc:
+            build(*args)
+        assert parsed.errors == (RowError(2, str(exc.value)),)
 
     def test_wrong_column_count(self):
         parsed = parse_dataset(HEADER + "\nA1,100,5,300\n")

@@ -113,9 +113,10 @@ def _src_env() -> dict:
 
 
 def imports(command: list[str] | None) -> bool:
-    """No file under src/, tests/ or tools/ imports a name that it never uses."""
+    """No file under src/, tests/, tools/ or bench/ imports a name that it never uses."""
     ok = True
-    for path in sorted(p for top in ("src", "tests", "tools") for p in (ROOT / top).rglob("*.py")):
+    tops = ("src", "tests", "tools", "bench")
+    for path in sorted(p for top in tops for p in (ROOT / top).rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         imported = {}  # the name an import binds, and the line of its first import
         for node in ast.walk(tree):
