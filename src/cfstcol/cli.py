@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("respond", help="fiber axial load-strain curve CSV")
     _add_column_args(p, "D t fy fu Es fc fc-kind ec")
-    p.add_argument("--n", type=int, default=200, help="number of samples (>= 8)")
+    p.add_argument("--n", type=int, default=200, help="number of samples (>= 2)")
     p.add_argument("--eps-max", type=float, default=0.03)
     p.set_defaults(func=_cmd_respond)
 
@@ -402,7 +402,14 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:  # under the usage line of the subcommand given them, not the top-level one
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not in the interpreter's exit
+        return status
+    except BrokenPipeError:  # the reader left early: what stays buffered is flushed to devnull
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

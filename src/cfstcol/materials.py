@@ -38,14 +38,14 @@ class StressStrainCurve(NamedTuple):
 class SteelCurveParams(NamedTuple):
     """Breakpoints and hardening exponent of the steel curve.
 
-    ``p`` is None when f_u == f_y, in which case the hardening stage
+    ``p`` is 0.02*E_s*(eps_u - eps_p)/(f_u - f_y), from the hardening modulus
+    0.02*E_s; it is None when f_u == f_y, in which case the hardening stage
     degenerates to a continued plateau at f_y.
     """
 
     eps_y: float
     eps_p: float
     eps_u: float
-    E_p: float
     p: float | None
     flags: tuple[str, ...] = ()
 
@@ -72,13 +72,12 @@ def steel_curve_params(steel: SteelMaterial) -> SteelCurveParams:
         raise ValueError(
             f"strain ordering eps_y < eps_p < eps_u breaks down at f_y={f_y:g} MPa"
         )
-    E_p = 0.02 * E_s
     if f_u > f_y:
-        p = E_p * (eps_u - eps_p) / (f_u - f_y)
+        p = 0.02 * E_s * (eps_u - eps_p) / (f_u - f_y)
     else:
         p = None
         flags.append("f_u equals f_y; hardening stage degenerates to a plateau")
-    return SteelCurveParams(eps_y, eps_p, eps_u, E_p, p, tuple(flags))
+    return SteelCurveParams(eps_y, eps_p, eps_u, p, tuple(flags))
 
 
 def _raise(exc: Exception):
@@ -259,28 +258,15 @@ class ConfinedConcreteParams(NamedTuple):
     flags: tuple[str, ...] = ()
 
 
-def confined_concrete_params(
-    column: ColumnSpec, f_r_override: float | None = None
-) -> ConfinedConcreteParams:
-    """Assemble the confined-curve parameters for a column.
-
-    ``f_r_override`` substitutes the confining pressure (e.g. 0 to study the
-    unconfined limit) while the rest of the chain is recomputed from it; a
-    negative or non-finite one raises ValueError.
-    """
+def confined_concrete_params(column: ColumnSpec) -> ConfinedConcreteParams:
+    """Assemble the confined-curve parameters for a column from its confining pressure."""
     f_c = column.concrete.f_c
     flags = list(column.concrete.validity_flags)
     lo, hi = EPS_C0_FIT_RANGE
     if not lo <= f_c <= hi:
         flags.append(f"peak-strain regression fitted for f_c in [{lo:g}, {hi:g}] MPa")
     eps_c0 = peak_strain_unconfined(f_c)
-    if f_r_override is not None:
-        _require_finite(f_r_override=f_r_override)
-        if f_r_override < 0:
-            raise ValueError("f_r override must be non-negative")
-        f_r = f_r_override
-    else:
-        f_r = confining_pressure(column.steel.f_y, f_c, column.dt_ratio)
+    f_r = confining_pressure(column.steel.f_y, f_c, column.dt_ratio)
     eps_cc = confined_peak_strain(eps_c0, f_r, f_c)
     f_re = residual_stress(column.xi_c, f_c)
     alpha, beta = softening_params(column.xi_c)

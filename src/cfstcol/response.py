@@ -23,28 +23,19 @@ from .section import ColumnSpec
 
 
 class AxialResponse(NamedTuple):
-    """Sampled axial response: (strain, load N) points, peak and residual figures, and the
-    steel then the concrete model's flags."""
+    """Sampled axial response: (strain, load N) points, the peak load and its strain, and the
+    steel then the concrete model's flags; the residual load is ``points[-1][1]``."""
 
     points: tuple[tuple[float, float], ...]
     peak_load: float
     peak_strain: float
-    residual_load: float
     flags: tuple[str, ...] = ()
 
 
-def response_curve(
-    column: ColumnSpec, eps_max: float, n: int = 200, f_r_override: float | None = None
-) -> AxialResponse:
-    """Sample N(eps) on [0, eps_max] with all material breakpoints placed exactly.
-
-    ``f_r_override`` substitutes the confining pressure of the concrete curve,
-    as in ``confined_concrete_params`` (e.g. 0 for the unconfined limit).
-    """
-    if n < 8:
-        raise ValueError("need at least 8 samples for a response curve")
+def response_curve(column: ColumnSpec, eps_max: float, n: int = 200) -> AxialResponse:
+    """Sample N(eps) on ``sample_grid``'s grid over [0, eps_max], breakpoints placed exactly."""
     sparams = steel_curve_params(column.steel)
-    cparams = confined_concrete_params(column, f_r_override)
+    cparams = confined_concrete_params(column)
     breakpoints = (sparams.eps_y, sparams.eps_p, sparams.eps_u, cparams.eps_c0, cparams.eps_cc)
     grid = sample_grid(breakpoints, eps_max, n)
     A_s, A_c = column.A_s, column.A_c
@@ -52,5 +43,5 @@ def response_curve(
     concrete = _concrete_stresses(grid, column.concrete.f_c, column.concrete.E_c, cparams)
     loads = [s * A_s + c * A_c for s, c in zip(steel, concrete)]
     best = max(loads)  # its strain is the first that reaches it
-    return AxialResponse(tuple(zip(grid, loads)), best, grid[loads.index(best)], loads[-1],
+    return AxialResponse(tuple(zip(grid, loads)), best, grid[loads.index(best)],
                          sparams.flags + cparams.flags)

@@ -4,6 +4,9 @@ import importlib.util
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -192,6 +195,23 @@ class TestRespond:
     def test_zero_eps_max_exits_2(self, capsys):
         code, _, _ = run(capsys, ["respond", *taken(["respond"], R1_ARGS), "--eps-max", "0"])
         assert code == 2
+
+    def test_two_samples_give_the_knots(self, capsys):
+        # the grid grows beyond n to hold every breakpoint, so n = 2 gives just the knots
+        code, out, err = run(capsys, ["respond", *taken(["respond"], R1_ARGS), "--n", "2"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "strain,N_kN"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [strain for strain, _ in rows] == ["0", "0.0015", "0.0018897", "0.008903362037",
+                                                   "0.0225", "0.03"]
+        strain, load = max(rows, key=lambda row: float(row[1]))
+        assert err == f"peak {load} kN at strain {strain}\n"
+
+    @pytest.mark.parametrize("command", [["curve", "concrete"], ["respond"]])
+    def test_one_sample_exits_2_with_the_grids_message(self, capsys, command):
+        code, out, err = run(capsys, [*command, *taken(command, R1_ARGS), "--n", "1"])
+        assert (code, out, err) == (2, "", "error: need at least two samples\n")
 
 
 @pytest.mark.parametrize("command,n", [(["curve", "steel"], "3"), (["curve", "concrete"], "8"),
@@ -615,6 +635,16 @@ def _ci_checks():
     return ci_checks
 
 
+def test_a_failed_benchmark_run_is_a_traced_miss(monkeypatch, capsys):
+    # a run that crashes prints no JSON line: each workload is one miss, and the step goes on
+    ci_checks = _ci_checks()
+    monkeypatch.setattr(ci_checks.subprocess, "run",
+                        lambda command, **kwargs: subprocess.CompletedProcess(command, 1, ""))
+    assert ci_checks.traced(None) is False
+    assert capsys.readouterr().out.splitlines() == [
+        f"traced: {workload}: bench/run.py exited 1" for workload in ci_checks.TRACED]
+
+
 def test_batch_on_the_adversarial_file_gives_its_pinned_outcome(tmp_path):
     # the outcome that tools/ci_checks.py cross-interpreter holds every interpreter to
     ci_checks = _ci_checks()
@@ -1034,3 +1064,35 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["predict", "--D", "100"])
         assert exc.value.code == 2
+
+
+class TestClosedStdout:
+    """A reader that stops early ends the command with status 1 and no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["batch", "--method", "all", "--input", str(GOLDEN / "batch_input.csv"),
+         "--summary-out", "summary.json"],
+        ["curve", "steel", "--fy", "300", "--n", "200000"],
+        ["predict", *R1_ARGS],  # all of it buffered until the flush at the end
+    ], ids=["batch", "curve-steel", "predict"])
+    def test_in_a_child_process(self, tmp_path, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")]))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as it is on a pipe by default
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "cfstcol.cli", *argv], cwd=tmp_path,
+                                  env=env, stdout=write, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, b"")
+
+    def test_in_process(self, monkeypatch):
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w", encoding="utf-8") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(["predict", *R1_ARGS]) == 1
+            monkeypatch.undo()

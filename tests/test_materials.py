@@ -42,7 +42,7 @@ class TestSteelCurveParams:
         assert params.eps_y == approx(0.0015)
         assert params.eps_p == approx(0.0225)
         assert params.eps_u == approx(0.15)
-        assert params.E_p == approx(4000.0)
+        # 0.02*E_s*(eps_u - eps_p)/(f_u - f_y): pins the hardening modulus 0.02*E_s
         assert params.p == approx(3.4, rel=1e-12)
 
     def test_high_strength_branch(self):
@@ -265,11 +265,6 @@ class TestConcreteStress:
         params = confined_concrete_params(column)
         assert any("peak-strain regression" in f for f in params.flags)
 
-    def test_fr_override(self, r1):
-        params = confined_concrete_params(r1, f_r_override=0.0)
-        assert params.f_r == 0.0
-        assert params.eps_cc == params.eps_c0
-
 
 class TestSampling:
     def test_grid_places_breakpoints_exactly(self):
@@ -418,7 +413,9 @@ def assert_kernels_match(column, grid):
     assert bits(got) == bits(steel_stress_reference(e, steel, sparams) for e in grid)
     assert bits(got) == bits(steel_stress(e, steel, sparams) for e in grid)
     f_c, E_c = column.concrete.f_c, column.concrete.E_c
-    for cparams in (confined_concrete_params(column), confined_concrete_params(column, 0.0)):
+    confined = confined_concrete_params(column)
+    unconfined = confined._replace(f_r=0.0, eps_cc=confined.eps_c0)
+    for cparams in (confined, unconfined):
         got = _concrete_stresses(grid, f_c, E_c, cparams)
         assert bits(got) == bits(concrete_stress_reference(e, f_c, E_c, cparams) for e in grid)
         assert bits(got) == bits(concrete_stress(e, f_c, E_c, cparams) for e in grid)
@@ -552,7 +549,7 @@ class TestRecords:
     """The once-per-call records are plain NamedTuples with pinned field order."""
 
     @pytest.mark.parametrize("record,fields", [
-        (SteelCurveParams, ("eps_y", "eps_p", "eps_u", "E_p", "p", "flags")),
+        (SteelCurveParams, ("eps_y", "eps_p", "eps_u", "p", "flags")),
         (ConfinedConcreteParams, ("eps_c0", "f_r", "eps_cc", "f_re", "alpha", "beta", "flags")),
         (CdpmParameterSet, ("psi", "ecc", "fb0_ratio", "K_c", "viscosity", "G_f")),
         (StressStrainCurve, ("points", "flags")),
@@ -562,6 +559,6 @@ class TestRecords:
         assert record._fields == fields
 
     def test_flags_default_empty(self):
-        assert SteelCurveParams(0.001, 0.01, 0.1, 4000.0, 3.0).flags == ()
+        assert SteelCurveParams(0.001, 0.01, 0.1, 3.0).flags == ()
         assert ConfinedConcreteParams(0.002, 1.0, 0.003, 5.0, 0.02, 1.2).flags == ()
         assert StressStrainCurve(((0.0, 0.0), (0.1, 2.0))).flags == ()

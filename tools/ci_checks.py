@@ -11,7 +11,8 @@ test suite under tests/, in this process with ``-W error``, Hypothesis seed 0 an
 the ``gate`` profile of tests/conftest.py, which reads and writes no example
 database (it needs pytest and hypothesis); it lists each statement of src/cfstcol/
 left unexecuted.  The traced step runs each workload of ``bench/run.py`` once, for
-two seconds on seed 1 with ``--trace 1``, and prints each TRACED pin it misses.
+two seconds on seed 1 with ``--trace 1``, and prints each TRACED pin it misses;
+a run that exits non-zero or ends in no JSON line is a miss, and the next runs.
 The golden step runs every single-column case of ``tests/golden_cases.py`` and
 the batch on the golden input; ``--command`` is the cfstcol command it runs,
 split on spaces (default: this interpreter's ``python -m cfstcol.cli`` on
@@ -199,10 +200,17 @@ def traced(command: list[str] | None) -> bool:
     every TRACED pin holds, and where asked, each of the 13 per-method spans has time."""
     ok = True
     for workload, (pins, spans) in TRACED.items():
-        out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
-                              "--seconds", "2", "--trace", "1"],
-                             cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True).stdout
-        d = json.loads(out.splitlines()[-1])
+        done = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+                               "--seconds", "2", "--trace", "1"],
+                              cwd=ROOT, stdout=subprocess.PIPE, text=True)
+        try:
+            d = json.loads(done.stdout.splitlines()[-1]) if done.returncode == 0 else None
+        except (IndexError, ValueError):  # no output, or a last line that is not JSON
+            d = None
+        if d is None:  # the run's own traceback, if any, is already on stderr
+            print(f"traced: {workload}: bench/run.py exited {done.returncode}")
+            ok = False
+            continue
         m = {k: v["value"] for k, v in d["metrics"].items()}
         misses = [f"{name} is {m[name]!r}, pinned at {total} of {operations}"
                   for name, (total, operations) in pins.items() if m[name] != total / operations]
