@@ -166,8 +166,6 @@ def check_applicability(method: MethodId, column: ColumnSpec) -> ApplicabilityRe
         limits = _METHODS[method][1]
     except (KeyError, TypeError):
         raise ValueError(f"unknown method: {method!r}") from None
-    if not limits:
-        return _APPLICABLE
     violations = []
     for text, quantity, lo, hi, upper in limits:
         value = quantity(column)
@@ -463,11 +461,10 @@ def predict_oliveira(column: ColumnSpec, settings: PredictionSettings) -> _Resul
     if ld <= 3.0:
         lam = 1.0
     elif settings.oliveira_mode is OliveiraMode.AS_PRINTED:
-        lam = -0.18 * math.log(ld)
-        if lam <= 0.0:
-            diagnostics.append(
-                f"{NON_PHYSICAL_LENGTH_FACTOR}: lambda = -0.18*ln(L/D) = {lam:.4g} at L/D = {ld:.4g}"
-            )
+        lam = -0.18 * math.log(ld)  # below -0.197 for every L/D > 3, so always non-physical
+        diagnostics.append(
+            f"{NON_PHYSICAL_LENGTH_FACTOR}: lambda = -0.18*ln(L/D) = {lam:.4g} at L/D = {ld:.4g}"
+        )
     else:
         lam = 1.0 - 0.18 * math.log(ld / 3.0)
     return base * lam, {"lambda": lam, "base": base}, tuple(diagnostics)

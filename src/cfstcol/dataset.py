@@ -275,9 +275,7 @@ class RatioStats:
         self.moments = [_Moments() for _ in methods]
 
     def add(self, row: RowResult) -> None:
-        self.n_total += 1
-        if row.error is not None:
-            return
+        self.n_total += 1  # an error row has no predictions, so it counts here alone
         N_test = row.record.N_test_kN
         n_applicable = self.n_applicable
         for i, (_, N_u, report, _, _) in enumerate(row.predictions):

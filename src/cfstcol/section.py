@@ -133,21 +133,17 @@ def convert_strength(measured: MeasuredStrength) -> ConvertedStrength:
     """Convert a measured strength onto the 150x300-cylinder basis.
 
     The factor depends on the concrete class, which itself depends on the
-    converted value.  Resolution is a short fixed point: convert with the
-    class of the raw value, re-classify the result and re-convert once if
-    the class changed.  Two passes at most; the class used in the final
-    pass is reported alongside the value.
+    converted value.  Resolution is two passes: convert with the class of
+    the raw value, re-classify the result and convert again with that class
+    (the same product when the class did not change).  The class of the
+    second pass is reported alongside the value.
 
     Raises:
         ConversionError: cube specimens of UHSC have no defined factor.
     """
     klass = classify_concrete(measured.value)
-    value = measured.value * _factor_for(klass, measured.kind)
-    reclass = classify_concrete(value)
-    if reclass is not klass:
-        klass = reclass
-        value = measured.value * _factor_for(klass, measured.kind)
-    return ConvertedStrength(value, klass)
+    klass = classify_concrete(measured.value * _factor_for(klass, measured.kind))
+    return ConvertedStrength(measured.value * _factor_for(klass, measured.kind), klass)
 
 
 def concrete_elastic_modulus(f_c: float) -> float:

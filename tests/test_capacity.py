@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import pickle
 from pathlib import Path
@@ -31,6 +33,7 @@ from cfstcol import (
     predict_yu,
     predict_zhong_miao,
 )
+from cfstcol import capacity
 from cfstcol.capacity import (
     _METHODS,
     ALL_METHODS,
@@ -156,6 +159,15 @@ class TestCisc:
         base = 1492.25651046 * 300 + 0.85 * 6361.72512352 * 30
         lam = pred.intermediates["lambda"]
         assert pred.N_u == approx(base * (1 + lam**3.6) ** -0.556, rel=1e-6)
+
+    def test_short_column_factors_are_one_past_ld_25(self):
+        column = build_column(100, 5, 3000, 300, 30, fu=450, Es=200_000)  # L/D = 30
+        pred = predict_cisc(column)
+        assert (pred.intermediates["rho"], pred.intermediates["tau"],
+                pred.intermediates["tau_prime"]) == (0.0, 1.0, 1.0)
+        base = column.A_s * column.steel.f_y + 0.85 * column.A_c * column.concrete.f_c
+        lam = pred.intermediates["lambda"]
+        assert pred.N_u == approx(base * (1 + lam**3.6) ** -0.556, rel=1e-12)
 
     def test_slenderness_factor_limit(self):
         pred = predict_cisc(build_column(100, 5, 1.0, 300, 30, fu=450))
@@ -599,6 +611,14 @@ class TestGate:
         assert report == ApplicabilityReport() == ApplicabilityReport(())
         assert report.applicable and report.violations == ()
 
+    def test_every_in_limit_column_shares_one_report(self, r1, make_column):
+        other = make_column(150, 6, 450, 350, 40)
+        report = check_applicability(MethodId.EC4, r1)
+        assert report.applicable
+        assert check_applicability(MethodId.EC4, other) is report
+        assert check_applicability(MethodId.CISC, other) is report  # a method with no limits
+        assert predict(other, MethodId.EC4).applicability is report
+
     def test_inapplicable_report_round_trips_through_pickle(self, make_column):
         report = check_applicability(MethodId.YU, make_column(100, 5, 300, 600, 80))
         assert not report.applicable
@@ -660,6 +680,16 @@ class TestRegistry:
     def test_registered_predictor_is_the_public_one(self):
         for method, predictor in PUBLIC_PREDICTORS.items():
             assert _METHODS[method][0] is predictor
+
+    def test_a_predictor_carries_its_formulas_name_and_docstring(self):
+        source = ast.parse(Path(capacity.__file__).read_text(encoding="utf-8"))
+        docs = {node.name: ast.get_docstring(node) for node in source.body
+                if isinstance(node, ast.FunctionDef)}
+        for predictor in PUBLIC_PREDICTORS.values():
+            name = predictor.__name__
+            assert name.startswith("predict_") and predictor.__qualname__ == name
+            assert getattr(capacity, name) is predictor
+            assert predictor.__doc__ and inspect.cleandoc(predictor.__doc__) == docs[name]
 
     def test_predict_and_public_predictor_agree_under_non_default_settings(self, make_column):
         column = make_column(100, 5, 800, 300, 30)  # L/D = 8

@@ -106,6 +106,15 @@ class TestPredict:
         assert "defaulted inputs" in out
         assert "f_u" in out and "E_s" in out
 
+    def test_a_column_with_nothing_defaulted_gets_no_defaulted_line(self, capsys):
+        column = [*R1_ARGS, "--dmax", "20", "--ec", "25000"]
+        for command in (["predict"], ["predict", "--format", "csv"], ["cdpm"]):
+            code, out, err = run(capsys, [*command, *column])
+            assert code == 0, err
+            assert "defaulted" not in out
+        _, out, _ = run(capsys, ["predict", *column, "--format", "json"])
+        assert json.loads(out)["column"]["defaulted"] == []
+
     def test_bad_geometry_exits_2(self, capsys):
         code, _, err = run(capsys, ["predict", "--D", "100", "--t", "50", "--L", "300",
                                     "--fy", "300", "--fc", "30"])

@@ -114,6 +114,32 @@ class TestImportGraph:
         assert done.stdout + done.stderr == (GOLDEN / f"r1_{command}.txt").read_text(encoding="utf-8")
 
 
+class TestEntryPoints:
+    """What only a process started from the command line reaches: ``main`` reading
+    ``sys.argv`` itself, and the parsers that a real invocation builds."""
+
+    def test_main_reads_the_command_line_when_given_no_list(self):
+        done = fresh("-m", "cfstcol.cli", "--D", "100", "predict", *R1_ARGS)
+        assert done.returncode == 2
+        assert done.stderr.endswith("cfstcol: error: unrecognized arguments: --D\n")
+        done = fresh("-m", "cfstcol.cli", "--", "predict", *R1_ARGS)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (GOLDEN / "r1_predict_table.txt").read_text(encoding="utf-8")
+
+    def test_the_curve_dispatcher_takes_no_out_flag(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        done = fresh("-m", "cfstcol.cli", "curve", "--out", str(out), "steel", "--fy", "300")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("usage: cfstcol curve [-h] {steel,concrete} ...\n")
+        assert not out.exists()
+
+    def test_a_lazy_name_is_its_object_on_first_access(self):
+        code = ("import cfstcol, importlib\nv = cfstcol.predict_all\n"
+                "print(v is importlib.import_module('cfstcol.capacity').predict_all)")
+        done = fresh("-c", code)
+        assert (done.returncode, done.stdout) == (0, "True\n"), done.stderr
+
+
 class TestNamespace:
     def test_all_lists_the_public_names(self):
         assert sorted(cfstcol.__all__) == sorted(name for _, name in NAMES)

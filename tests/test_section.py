@@ -278,6 +278,12 @@ class TestConcreteMaterial:
         with pytest.raises(ValueError, match="E_c must be positive"):
             ConcreteMaterial(30.0, 20.0, E_c)
 
+    @pytest.mark.parametrize("f_c,d_max", [(0.0, 20.0), (-1.0, None)])
+    def test_nonpositive_strength_rejected_beside_a_given_modulus(self, f_c, d_max):
+        # with E_c given, no modulus is derived from f_c, so only its own rule refuses it
+        with pytest.raises(ValueError, match="f_c must be positive"):
+            ConcreteMaterial(f_c, d_max, 30000.0)
+
 
 NON_FINITE = [math.nan, math.inf, -math.nan]
 
