@@ -80,19 +80,10 @@ def steel_curve_params(steel: SteelMaterial) -> SteelCurveParams:
     return SteelCurveParams(eps_y, eps_p, eps_u, p, tuple(flags))
 
 
-def _raise(exc: Exception):
-    """Raise ``exc``; lets a kernel's comprehension reject a strain where it stands."""
-    raise exc
-
-
-_STEEL_NEGATIVE = "strain must be non-negative (use magnitude symmetry for compression)"
-_CONCRETE_NEGATIVE = "strain must be non-negative"
-
-
 def _steel_stresses(
     strains: Sequence[float], steel: SteelMaterial, params: SteelCurveParams
 ) -> list[float]:
-    """Steel stresses (MPa) along a strain sequence, the curve's constants taken once.
+    """Steel stresses (MPa) along a grid of non-negative strains, the curve's constants taken once.
 
     The yield plateau, where most of a response grid lies, is tested first;
     its guard implies the plateau branch of the per-point stage chain, which
@@ -101,10 +92,8 @@ def _steel_stresses(
     E_s, f_y, f_u = steel.E_s, steel.f_y, steel.f_u
     eps_y, eps_p, eps_u, p = params.eps_y, params.eps_p, params.eps_u, params.p
     span, rise = eps_u - eps_p, f_u - f_y
-    yielded = max(eps_y, 0.0)  # NaN when eps_y is, so that the guard never holds
     return [
-        f_y if yielded < eps <= eps_p
-        else _raise(ValueError(_STEEL_NEGATIVE)) if eps < 0
+        f_y if eps_y < eps <= eps_p
         else E_s * eps if eps <= eps_y
         else f_y if eps <= eps_p or p is None
         else f_u - rise * ((eps_u - eps) / span) ** p if eps <= eps_u
@@ -120,6 +109,8 @@ def steel_stress(eps: float, steel: SteelMaterial, params: SteelCurveParams) -> 
     to eps_u, constant f_u beyond.  Compression is handled by magnitude
     symmetry at call sites; negative strains are rejected here.
     """
+    if eps < 0:
+        raise ValueError("strain must be non-negative (use magnitude symmetry for compression)")
     return _steel_stresses((eps,), steel, params)[0]
 
 
@@ -259,13 +250,18 @@ class ConfinedConcreteParams(NamedTuple):
 
 
 def confined_concrete_params(column: ColumnSpec) -> ConfinedConcreteParams:
-    """Assemble the confined-curve parameters for a column from its confining pressure."""
+    """Assemble the confined-curve parameters for a column from its confining pressure.
+
+    The curve exists for f_c below about 479.07 MPa, where the peak-strain regression is positive.
+    """
     f_c = column.concrete.f_c
     flags = list(column.concrete.validity_flags)
     lo, hi = EPS_C0_FIT_RANGE
     if not lo <= f_c <= hi:
         flags.append(f"peak-strain regression fitted for f_c in [{lo:g}, {hi:g}] MPa")
     eps_c0 = peak_strain_unconfined(f_c)
+    if eps_c0 <= 0:
+        raise ValueError(f"peak-strain regression gives eps_c0 = {eps_c0:.4g} <= 0 at f_c={f_c:g} MPa")
     f_r = confining_pressure(column.steel.f_y, f_c, column.dt_ratio)
     eps_cc = confined_peak_strain(eps_c0, f_r, f_c)
     f_re = residual_stress(column.xi_c, f_c)
@@ -276,7 +272,7 @@ def confined_concrete_params(column: ColumnSpec) -> ConfinedConcreteParams:
 def _concrete_stresses(
     strains: Sequence[float], f_c: float, E_c: float, params: ConfinedConcreteParams
 ) -> list[float]:
-    """Confined concrete stresses (MPa) along a strain sequence, the curve's constants taken once.
+    """Confined concrete stresses (MPa) along a grid of non-negative strains, constants taken once.
 
     Softening, where most of a response grid lies, is tested first; its
     guard implies the softening branch of the per-point stage chain, which
@@ -293,7 +289,6 @@ def _concrete_stresses(
     top = max(0.0, eps_c0, eps_cc)
     return [
         f_re + drop * exp(-(((eps - eps_cc) / alpha) ** beta)) if not eps <= top
-        else _raise(ValueError(_CONCRETE_NEGATIVE)) if eps < 0
         else 0.0 if eps == 0.0
         else f_c * (A * (x := eps / eps_c0) + B * x * x) / (1.0 + A_2 * x + B_1 * x * x)
         if eps <= eps_c0
@@ -308,6 +303,8 @@ def concrete_stress(eps: float, f_c: float, E_c: float, params: ConfinedConcrete
     Nonlinear ascent to f_c at eps_c0, constant f_c to eps_cc, then
     exponential softening towards the residual stress.
     """
+    if eps < 0:
+        raise ValueError("strain must be non-negative")
     return _concrete_stresses((eps,), f_c, E_c, params)[0]
 
 

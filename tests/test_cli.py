@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cfstcol import MethodId, OliveiraMode, evaluate_dataset, parse_dataset, predict, response_curve
+from cfstcol import (MethodId, OliveiraMode, PredictionSettings, evaluate_dataset, parse_dataset,
+                     predict, predict_oliveira, response_curve)
 from cfstcol.capacity import ARITHMETIC_ERROR, DEFAULT_SETTINGS
 from cfstcol.cli import OLIVEIRA_MODES, _cell, _settings, build_parser, main
 from cfstcol.dataset import CSV_HEADER
@@ -163,6 +164,12 @@ class TestCurve:
                                     "--n", "1"])
         assert code == 2
         assert err == "error: need at least two samples\n"
+
+    def test_concrete_beyond_the_peak_strain_regression_exits_2(self, capsys):
+        code, out, err = run(capsys, ["curve", "concrete", "--D", "100", "--t", "5", "--fy", "300",
+                                      "--fc", "480"])
+        assert (code, out) == (2, "")
+        assert err == "error: peak-strain regression gives eps_c0 = -3.18e-05 <= 0 at f_c=480 MPa\n"
 
 
 class TestCdpm:
@@ -957,6 +964,11 @@ REMOVED_FLAGS.append(pytest.param(["batch", "--input", "specimens.csv"], "--form
                                   id="batch --format"))
 
 
+def _without(flag):
+    """R1's column flags without ``flag`` and its value."""
+    return [arg for pair in zip(R1_ARGS[::2], R1_ARGS[1::2]) if pair[0] != flag for arg in pair]
+
+
 class TestUsage:
     @pytest.mark.parametrize("command,flag,value", REMOVED_FLAGS)
     def test_flag_the_subcommand_does_not_read_exits_2(self, capsys, command, flag, value):
@@ -1073,6 +1085,48 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["predict", "--D", "100"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,missing", [
+        *[pytest.param(["predict", *_without(flag)], flag, id=f"predict {flag}")
+          for flag in ("--D", "--t", "--L", "--fy", "--fc")],
+        pytest.param(["batch"], "--input", id="batch --input"),
+        pytest.param(["curve"], "material", id="curve material"),
+        pytest.param([], "command", id="command"),
+    ])
+    def test_each_missing_required_argument_is_named(self, capsys, argv, missing):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: the following arguments are required: {missing}\n")
+
+    @pytest.mark.parametrize("flag,value", [("--format", "xml"), ("--fc-kind", "cube200"),
+                                            ("--oliveira-mode", "foo")])
+    def test_a_value_outside_the_choices_is_an_invalid_choice(self, capsys, flag, value):
+        # without choices, --fc-kind and --oliveira-mode would still exit 2, through the enum
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", *R1_ARGS, flag, value])
+        assert exc.value.code == 2
+        assert f"cfstcol predict: error: argument {flag}: invalid choice: {value!r}" in \
+            capsys.readouterr().err
+
+    def test_oliveira_mode_reaches_the_formula(self, capsys, tmp_path):
+        column = ["--D", "100", "--t", "5", "--L", "800", "--fy", "300", "--fc", "30"]
+        code, out, err = run(capsys, ["predict", *column, "--method", "de_oliveira",
+                                      "--format", "json", "--oliveira-mode", "corrected"])
+        assert code == 0, err
+        (prediction,) = json.loads(out)["predictions"]
+        corrected = PredictionSettings(oliveira_mode=OliveiraMode.CORRECTED)
+        N_u = predict_oliveira(build_column(100, 5, 800, 300, 30), corrected).N_u
+        assert prediction["Nu_kN"] == round(N_u / 1e3, 1) == 525.8  # -239.0 as printed
+        assert prediction["diagnostics"] == []
+        source = tmp_path / "specimens.csv"
+        source.write_text(batch_fixture_text())
+        summary = tmp_path / "summary.json"
+        code, _, err = run(capsys, ["batch", "--input", str(source), "--method", "de_oliveira",
+                                    "--oliveira-mode", "corrected", "--summary-out", str(summary)])
+        assert code == 0, err
+        assert json.loads(summary.read_text())["config"]["oliveira_mode"] == "corrected"
 
 
 class TestClosedStdout:

@@ -56,6 +56,11 @@ GUARDS = [
     (classify_concrete, dict(f_c=30.0), "f_c", 0.0, TINY, POSITIVE),
     (confinement_factor, XI, "A_s", -TINY, 0.0, "A_s and f_y must be non-negative"),
     (confinement_factor, XI, "f_y", -TINY, 0.0, "A_s and f_y must be non-negative"),
+    # A_c*f_c == 0.0 catches a zero as well, so these guards are checked just below it
+    (confinement_factor, XI, "A_c", -TINY, TINY,
+     "A_c*f_c must be positive, got A_c=-1e-09 and f_c=30"),
+    (confinement_factor, XI, "f_c", -TINY, TINY,
+     "A_c*f_c must be positive, got A_c=6000 and f_c=-1e-09"),
 ]
 
 

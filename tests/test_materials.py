@@ -86,6 +86,12 @@ class TestSteelStress:
         with pytest.raises(ValueError):
             steel_stress(-0.001, STEEL_R1, params)
 
+    def test_nan_yield_strain_leaves_the_plateau_to_the_chain(self):
+        # no strain passes eps <= NaN, so a strain up to eps_p is on the plateau by the
+        # chain's own eps <= eps_p, not on the hardening branch (282.9 MPa)
+        params = SteelCurveParams(math.nan, 0.01, 0.1, 2.0)
+        assert steel_stress(0.005, STEEL_R1, params) == 300.0
+
     def test_degenerate_plateau_constant(self):
         steel = SteelMaterial(300.0, 300.0, 200_000.0)
         params = steel_curve_params(steel)
@@ -264,6 +270,20 @@ class TestConcreteStress:
         column = make_column(100, 5, 300, 300, 150)
         params = confined_concrete_params(column)
         assert any("peak-strain regression" in f for f in params.flags)
+
+    @pytest.mark.parametrize("eps", [-1e-9, -math.inf])
+    def test_negative_strain_rejected(self, r1, eps):
+        params = confined_concrete_params(r1)
+        with pytest.raises(ValueError, match="^strain must be non-negative$"):
+            concrete_stress(eps, 30, r1.concrete.E_c, params)
+
+    def test_peak_strain_regression_domain(self, make_column):
+        # (-0.067*f_c^2 + 29.9*f_c + 1053)*1e-6 falls to 0 near f_c = 479.07 MPa
+        message = "peak-strain regression gives eps_c0 = -3.18e-05 <= 0 at f_c=480 MPa"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            confined_concrete_params(make_column(100, 5, 300, 300, 480))
+        curve = sample_concrete_curve(make_column(100, 5, 300, 300, 479), 50, 0.03)
+        assert max(stress for _, stress in curve.points) == 479.0
 
 
 class TestSampling:
@@ -469,14 +489,6 @@ class TestStressKernels:
         assert steel[:3] == [450.0, 450.0, 0.0] and math.copysign(1.0, steel[2]) == -1.0
         assert math.isnan(concrete[0]) and concrete[1] == cparams.f_re and concrete[2] == 0.0
 
-    def test_negative_strain_inside_a_sequence_raises(self, r1):
-        sparams = steel_curve_params(STEEL_R1)
-        cparams = confined_concrete_params(r1)
-        with pytest.raises(ValueError, match="non-negative"):
-            _steel_stresses([0.0, 0.001, -1e-9, 0.002], STEEL_R1, sparams)
-        with pytest.raises(ValueError, match="non-negative"):
-            _concrete_stresses([0.0, 0.001, -1e-9, 0.002], 30.0, r1.concrete.E_c, cparams)
-
 
 class Steel(NamedTuple):
     """The three constants the steel kernel reads, free of SteelMaterial's checks."""
@@ -517,8 +529,10 @@ class TestStressKernelsArbitraryParams:
     """The kernels against the per-point chain for parameters no column produces.
 
     Breakpoints may be unordered, negative, zero or non-finite and ``p`` may be
-    None; strains may be NaN, infinite, signed zeros or negative.  Each result,
-    or the first exception raised along the sequence, must be the reference's.
+    None; strains may be NaN, infinite, signed zeros or negative.  The kernels
+    take the strains that are not negative, as every grid of ``sample_grid`` is:
+    each result, or the first exception raised along the sequence, must be the
+    reference's.  The scalar functions take every strain, one at a time.
     """
 
     @given(steel=st.builds(Steel, any_float, any_float, any_float),
@@ -527,8 +541,12 @@ class TestStressKernelsArbitraryParams:
            data=st.data())
     def test_steel(self, steel, params, data):
         strains = strains_around(data, (params.eps_y, params.eps_p, params.eps_u))
-        assert outcome(lambda: _steel_stresses(strains, steel, params)) == outcome(
-            lambda: [steel_stress_reference(e, steel, params) for e in strains])
+        grid = [e for e in strains if not e < 0]
+        assert outcome(lambda: _steel_stresses(grid, steel, params)) == outcome(
+            lambda: [steel_stress_reference(e, steel, params) for e in grid])
+        for e in strains:
+            assert outcome(lambda: [steel_stress(e, steel, params)]) == outcome(
+                lambda: [steel_stress_reference(e, steel, params)])
 
     @given(f_c=st.floats(0.5, 500.0), E_c=st.floats(1e3, 1e6),
            params=st.builds(ConfinedConcreteParams, bounded_strain, any_float, any_float,
@@ -536,8 +554,12 @@ class TestStressKernelsArbitraryParams:
            data=st.data())
     def test_concrete(self, f_c, E_c, params, data):
         strains = strains_around(data, (params.eps_c0, params.eps_cc))
-        assert outcome(lambda: _concrete_stresses(strains, f_c, E_c, params)) == outcome(
-            lambda: [concrete_stress_reference(e, f_c, E_c, params) for e in strains])
+        grid = [e for e in strains if not e < 0]
+        assert outcome(lambda: _concrete_stresses(grid, f_c, E_c, params)) == outcome(
+            lambda: [concrete_stress_reference(e, f_c, E_c, params) for e in grid])
+        for e in strains:
+            assert outcome(lambda: [concrete_stress(e, f_c, E_c, params)]) == outcome(
+                lambda: [concrete_stress_reference(e, f_c, E_c, params)])
 
     def test_nan_peak_strain_captures_no_strain(self):
         # a NaN eps_c0 fails every comparison, so strains up to eps_cc stay on the plateau

@@ -15,6 +15,7 @@ from cfstcol import (
     ConcreteMaterial,
     ConversionError,
     MeasuredStrength,
+    PredictionSettings,
     SectionError,
     SpecimenKind,
     SteelMaterial,
@@ -326,6 +327,35 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError, match=message):
             build()
 
+    @pytest.mark.parametrize("f_c,shown", [(math.nan, "nan"), (math.inf, "inf")])
+    def test_non_finite_strength_is_named_before_its_default_modulus(self, f_c, shown):
+        with pytest.raises(ValueError, match=f"^f_c must be finite, got {shown}$"):
+            ConcreteMaterial(f_c)
+
+
+class TestValueTypeContract:
+    """The value types are frozen and slotted; a defaulted input compares as if given."""
+
+    @pytest.mark.parametrize("value", [
+        PredictionSettings(),
+        MeasuredStrength(30.0, SpecimenKind.CYL150),
+        CircularSection(100.0, 5.0, 300.0),
+        SteelMaterial(300.0),
+        ConcreteMaterial(30.0),
+        ColumnSpec(CircularSection(100.0, 5.0, 300.0), SteelMaterial(300.0), ConcreteMaterial(30.0)),
+    ], ids=lambda value: type(value).__name__)
+    def test_frozen_and_slotted(self, value):
+        for field in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, getattr(value, field.name))
+        assert not hasattr(value, "__dict__")
+
+    def test_defaulted_takes_no_part_in_equality_or_repr(self):
+        steel, concrete = SteelMaterial(300.0), ConcreteMaterial(30.0)
+        assert steel == SteelMaterial(300.0, 375.0, 200_000.0)
+        assert concrete == ConcreteMaterial(30.0, 20.0, 4700 * math.sqrt(30.0))
+        assert "defaulted" not in repr(steel) and "defaulted" not in repr(concrete)
+
 
 class TestHugeFiniteColumn:
     def test_non_finite_derived_areas_rejected(self):
@@ -346,6 +376,16 @@ class TestHugeFiniteColumn:
                             ConcreteMaterial(30.0))
         assert math.isinf(column.I_c)
         assert column.A_s == math.pi * (D - 1.0) and column.xi_c > 0.0
+
+    def test_infinite_steel_area_is_named(self, make_column):
+        # A_c is infinite too: the first offender is named
+        with pytest.raises(ValueError, match="^A_s must be finite, got inf$"):
+            make_column(1e200, 4e199, 300, 300, 30)
+
+    def test_infinite_confinement_factor_is_named(self, make_column):
+        # A_s*f_y overflows; the areas stay finite
+        with pytest.raises(ValueError, match="^xi_c must be finite, got inf$"):
+            make_column(100, 5, 300, 1e308, 30, fu=1e308)
 
     def test_core_force_that_underflows_is_a_value_error(self):
         # A_c*f_c = 7.1e-202 * 1e-250 is 0.0: xi_c would divide by zero
@@ -385,6 +425,9 @@ class TestFactoredGeometry:
         assert r1.I_s + r1.I_c == approx(math.pi / 64 * 100**4, rel=1e-12)
 
 
+DERIVED_FIELDS = ("A_s", "A_c", "I_s", "I_c", "dt_ratio", "ld_ratio", "alpha_s", "xi_c")
+
+
 class TestColumnSpec:
     def test_derived_quantities(self, r1):
         assert r1.A_s == approx(1492.25651046, rel=1e-9)
@@ -410,6 +453,10 @@ class TestColumnSpec:
         assert twin == r1
         assert "I_s" not in repr(r1) and "I_c" not in repr(r1)
         assert pickle.loads(pickle.dumps(r1)).I_c == r1.I_c
+        for name in DERIVED_FIELDS:
+            object.__setattr__(twin, name, -1.0)
+        assert twin == r1
+        assert not any(f"{name}=" in repr(twin) for name in DERIVED_FIELDS)
 
     def test_replace_recomputes_second_moments(self, r1):
         wider = dataclasses.replace(r1, section=CircularSection(200.0, 5.0, 300.0))
@@ -422,6 +469,11 @@ class TestColumnSpec:
         assert twin == r1
         assert "xi_c" not in repr(r1) and "A_s" not in repr(r1)
         assert not hasattr(r1, "__dict__")
+        for name in DERIVED_FIELDS:
+            twin = ColumnSpec(r1.section, r1.steel, r1.concrete)
+            object.__setattr__(twin, name, -1.0)
+            assert twin == r1, name
+            assert f"{name}=" not in repr(r1)
 
     def test_replace_recomputes_derived_fields(self, r1):
         wider = dataclasses.replace(r1, section=CircularSection(200.0, 5.0, 300.0))
