@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .section import (_CONVERSION_FACTORS, FC_VALID_RANGE, ColumnSpec, ConcreteClass,
-                      SpecimenKind, _require_finite, classify_concrete)
+                      SpecimenKind, _new_tuple, _require_finite, classify_concrete)
 
 # Parameter envelope of the test database the superposition factors were
 # calibrated on; the formula stays applicable outside it but flags the excursion.
@@ -113,9 +113,6 @@ class ApplicabilityReport(NamedTuple):
 
 
 _APPLICABLE = ApplicabilityReport()
-
-# How the gate makes its records: tuple.__new__ skips a NamedTuple's Python-level __new__
-_new_tuple = tuple.__new__
 
 
 class CapacityPrediction(NamedTuple):

@@ -34,6 +34,7 @@ from .section import (
     ColumnSpec,
     ConvertedStrength,
     SpecimenKind,
+    _new_tuple,
     check_concrete,
     check_measured_strength,
     check_section,
@@ -83,7 +84,8 @@ class ParsedDataset(NamedTuple):
     errors: tuple[RowError, ...]
 
 
-_SPECIMEN_KINDS = {kind.value: kind for kind in SpecimenKind}
+# an empty fc_kind cell takes the default kind
+_SPECIMEN_KINDS = {"": SpecimenKind.CYL150, **{kind.value: kind for kind in SpecimenKind}}
 _NUL = "\udc00"  # parse_dataset reads each NUL as this surrogate, which strict UTF-8 never yields
 _FIELD_LIMIT = 131_072  # the longest cell, in characters: the csv module's default limit
 _FIELD_LIMIT_LOCK = threading.Lock()  # held while parse_dataset lifts the process-wide limit
@@ -102,7 +104,7 @@ def _parse_row(cells: list[str]) -> SpecimenRecord:
         raise ValueError(f"expected {len(CSV_HEADER)} columns, got {len(cells)}")
     # one local per CSV_HEADER column, named after it
     (source_id, D_mm, t_mm, L_mm, fy_MPa, fu_MPa, Es_MPa, fc_measured_MPa, fc_kind, dmax_mm,
-     Ntest_kN) = [cell.strip() for cell in cells]
+     Ntest_kN) = cells = [cell.strip() for cell in cells]
     # named after the fields they default, in the order evaluated rows list them
     defaulted = []
     if not fc_kind:
@@ -118,21 +120,23 @@ def _parse_row(cells: list[str]) -> SpecimenRecord:
                            ("fc_measured_MPa", fc_measured_MPa), ("Ntest_kN", Ntest_kN)):
             if not cell:
                 raise ValueError(f"{name}: required value is empty")
-    D = _parse_float(D_mm, "D_mm")
-    t = _parse_float(t_mm, "t_mm")
-    L = _parse_float(L_mm, "L_mm")
-    f_y = _parse_float(fy_MPa, "fy_MPa")
-    f_u = _parse_float(fu_MPa, "fu_MPa") if fu_MPa else None
-    E_s = _parse_float(Es_MPa, "Es_MPa") if Es_MPa else None
-    fc_measured = _parse_float(fc_measured_MPa, "fc_measured_MPa")
-    if fc_kind:
-        kind = _SPECIMEN_KINDS.get(fc_kind.upper())
-        if kind is None:
-            raise ValueError(f"fc_kind: unknown specimen kind {fc_kind!r}")
-    else:
-        kind = SpecimenKind.CYL150
-    d_max = _parse_float(dmax_mm, "dmax_mm") if dmax_mm else None
-    N_test = _parse_float(Ntest_kN, "Ntest_kN")
+    kind = _SPECIMEN_KINDS.get(fc_kind.upper())
+    try:  # every number at once
+        D, t, L, f_y = float(D_mm), float(t_mm), float(L_mm), float(fy_MPa)
+        f_u = float(fu_MPa) if fu_MPa else None
+        E_s = float(Es_MPa) if Es_MPa else None
+        fc_measured = float(fc_measured_MPa)
+        d_max = float(dmax_mm) if dmax_mm else None
+        N_test = float(Ntest_kN)
+    except ValueError:  # name the first cell, in CSV_HEADER order, that is not a number or a kind
+        for name, cell in zip(CSV_HEADER[1:], cells[1:]):
+            if name == "fc_kind":
+                if kind is None:
+                    break  # raised below
+            elif cell:
+                _parse_float(cell, name)
+    if kind is None:
+        raise ValueError(f"fc_kind: unknown specimen kind {fc_kind!r}")
     if N_test <= 0:
         raise ValueError("Ntest_kN: must be positive")
     # the checks of the value types column_from_record builds, so bad rows surface here
@@ -143,9 +147,9 @@ def _parse_row(cells: list[str]) -> SpecimenRecord:
         check_concrete(fc_measured, d_max, None)  # any valid f_c: it is not converted yet
     if not math.isfinite(N_test):
         raise ValueError("Ntest_kN: must be finite")
-    return SpecimenRecord(
+    return _new_tuple(SpecimenRecord, (
         source_id, D, t, L, f_y, f_u, E_s, fc_measured, kind, d_max, N_test, tuple(defaulted),
-    )
+    ))
 
 
 def parse_dataset(csv_text: str) -> ParsedDataset:
@@ -311,15 +315,15 @@ def evaluate_rows(
         try:
             column, converted = column_from_record(record, Ec_override)
         except ValueError as exc:  # a ConversionError included
-            yield RowResult(index, record, None, None, record.defaulted, str(exc), ())
+            yield _new_tuple(RowResult, (index, record, None, None, record.defaulted, str(exc), ()))
             continue
         # column.defaulted already names the defaulted material fields; fc_kind
         # is the only parse-level default it cannot see
         defaulted = (("fc_kind",) if "fc_kind" in record.defaulted else ()) + column.defaulted
         predictions = tuple([predict(column, m, settings) for m in methods])
         # _value_ is the member's value as a plain attribute; .value goes through a descriptor
-        yield RowResult(index, record, converted.f_c, converted.concrete_class._value_,
-                        defaulted, None, predictions)
+        yield _new_tuple(RowResult, (index, record, converted.f_c, converted.concrete_class._value_,
+                                     defaulted, None, predictions))
 
 
 def evaluate_dataset(

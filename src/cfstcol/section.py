@@ -7,7 +7,7 @@ into kN at the reporting layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -29,6 +29,11 @@ def _require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value:g}")
+
+
+# The row path builds objects without their Python-level constructors, which keep their checks
+_new = object.__new__
+_new_tuple = tuple.__new__
 
 
 class SectionError(ValueError):
@@ -143,7 +148,7 @@ def convert_strength(measured: MeasuredStrength) -> ConvertedStrength:
     """
     klass = classify_concrete(measured.value)
     klass = classify_concrete(measured.value * _factor_for(klass, measured.kind))
-    return ConvertedStrength(measured.value * _factor_for(klass, measured.kind), klass)
+    return _new_tuple(ConvertedStrength, (measured.value * _factor_for(klass, measured.kind), klass))
 
 
 def concrete_elastic_modulus(f_c: float) -> float:
@@ -204,12 +209,16 @@ def confinement_factor(A_s: float, f_y: float, A_c: float, f_c: float) -> float:
     return (A_s * f_y) / (A_c * f_c)
 
 
-def check_steel(f_y: float, f_u: float | None, E_s: float | None) -> tuple[float, float]:
-    """Raise ValueError unless the inputs make a valid ``SteelMaterial``; returns its f_u, E_s."""
+def check_steel(f_y: float, f_u: float | None,
+                E_s: float | None) -> tuple[float, float, tuple[str, ...]]:
+    """Raise ValueError unless these make a ``SteelMaterial``; return its f_u, E_s, defaulted."""
+    defaulted = ()
     if f_u is None:
         f_u = max(1.25 * f_y, f_y + 50.0)
+        defaulted = ("f_u",)
     if E_s is None:
         E_s = STEEL_E_DEFAULT
+        defaulted += ("E_s",)
     if f_y <= 0:
         raise ValueError("f_y must be positive")
     if E_s <= 0:
@@ -218,7 +227,7 @@ def check_steel(f_y: float, f_u: float | None, E_s: float | None) -> tuple[float
         raise ValueError(f"f_u={f_u:g} MPa below f_y={f_y:g} MPa")
     if not math.isfinite(f_y * f_u * E_s):
         _require_finite(f_y=f_y, f_u=f_u, E_s=E_s)
-    return f_u, E_s
+    return f_u, E_s, defaulted
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,14 +245,10 @@ class SteelMaterial:
     defaulted: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        f_u, E_s = check_steel(self.f_y, self.f_u, self.E_s)
-        defaulted = ("f_u",) if self.f_u is None else ()
-        if self.E_s is None:
-            defaulted += ("E_s",)
-        set_field = object.__setattr__
-        set_field(self, "f_u", f_u)
-        set_field(self, "E_s", E_s)
-        set_field(self, "defaulted", defaulted)
+        f_u, E_s, defaulted = check_steel(self.f_y, self.f_u, self.E_s)
+        _set_f_u(self, f_u)
+        _set_E_s(self, E_s)
+        _set_steel_defaulted(self, defaulted)
 
     @property
     def validity_flags(self) -> tuple[str, ...]:
@@ -253,21 +258,25 @@ class SteelMaterial:
         return ()
 
 
-def check_concrete(f_c: float, d_max: float | None, E_c: float | None) -> tuple[float, float]:
-    """Raise ValueError unless the inputs make a valid ``ConcreteMaterial``; returns d_max, E_c."""
+def check_concrete(f_c: float, d_max: float | None,
+                   E_c: float | None) -> tuple[float, float, tuple[str, ...]]:
+    """Raise ValueError unless these make a ``ConcreteMaterial``; return its d_max, E_c, defaulted."""
     if f_c <= 0:
         raise ValueError("f_c must be positive")
+    defaulted = ()
     if d_max is None:
         d_max = DMAX_DEFAULT
+        defaulted = ("d_max",)
     if E_c is None:
         E_c = concrete_elastic_modulus(f_c)
+        defaulted += ("E_c",)
     if d_max < 0:
         raise ValueError("d_max must be non-negative")
     if E_c <= 0:
         raise ValueError("E_c must be positive")
     if not math.isfinite(f_c * d_max * E_c):
         _require_finite(f_c=f_c, d_max=d_max, E_c=E_c)
-    return d_max, E_c
+    return d_max, E_c, defaulted
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,14 +293,10 @@ class ConcreteMaterial:
     defaulted: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        d_max, E_c = check_concrete(self.f_c, self.d_max, self.E_c)
-        defaulted = ("d_max",) if self.d_max is None else ()
-        if self.E_c is None:
-            defaulted += ("E_c",)
-        set_field = object.__setattr__
-        set_field(self, "d_max", d_max)
-        set_field(self, "E_c", E_c)
-        set_field(self, "defaulted", defaulted)
+        d_max, E_c, defaulted = check_concrete(self.f_c, self.d_max, self.E_c)
+        _set_d_max(self, d_max)
+        _set_E_c(self, E_c)
+        _set_concrete_defaulted(self, defaulted)
 
     @property
     def validity_flags(self) -> tuple[str, ...]:
@@ -328,16 +333,15 @@ class ColumnSpec:
         xi_c = confinement_factor(A_s, self.steel.f_y, A_c, self.concrete.f_c)
         if not math.isfinite(A_s * A_c * xi_c):
             _require_finite(A_s=A_s, A_c=A_c, xi_c=xi_c)
-        set_field = object.__setattr__
-        set_field(self, "A_s", A_s)
-        set_field(self, "A_c", A_c)
         I_s, I_c = section_second_moments(section)
-        set_field(self, "I_s", I_s)
-        set_field(self, "I_c", I_c)
-        set_field(self, "dt_ratio", section.D / section.t)
-        set_field(self, "ld_ratio", section.L / section.D)
-        set_field(self, "alpha_s", A_s / A_c)
-        set_field(self, "xi_c", xi_c)
+        _set_A_s(self, A_s)
+        _set_A_c(self, A_c)
+        _set_I_s(self, I_s)
+        _set_I_c(self, I_c)
+        _set_dt_ratio(self, section.D / section.t)
+        _set_ld_ratio(self, section.L / section.D)
+        _set_alpha_s(self, A_s / A_c)
+        _set_xi_c(self, xi_c)
 
     @property
     def defaulted(self) -> tuple[str, ...]:
@@ -348,6 +352,19 @@ class ColumnSpec:
         return self.steel.validity_flags + self.concrete.validity_flags
 
 
+def _slot_setters(cls: type) -> list:
+    """Each field's slot setter, in field order: object.__setattr__ on one field, but faster."""
+    return [getattr(cls, f.name).__set__ for f in fields(cls)]
+
+
+_set_value, _set_kind = _slot_setters(MeasuredStrength)
+_set_D, _set_t, _set_L = _slot_setters(CircularSection)
+_set_f_y, _set_f_u, _set_E_s, _set_steel_defaulted = _slot_setters(SteelMaterial)
+_set_f_c, _set_d_max, _set_E_c, _set_concrete_defaulted = _slot_setters(ConcreteMaterial)
+(_set_section, _set_steel, _set_concrete, _set_A_s, _set_A_c, _set_I_s, _set_I_c, _set_dt_ratio,
+ _set_ld_ratio, _set_alpha_s, _set_xi_c) = _slot_setters(ColumnSpec)
+
+
 def column_from_inputs(
     D: float, t: float, L: float, f_y: float, f_u: float | None, E_s: float | None,
     fc_measured: float, fc_kind: SpecimenKind, d_max: float | None = None, E_c: float | None = None,
@@ -356,8 +373,33 @@ def column_from_inputs(
 
     It converts the measured strength, then assembles the column; None takes the
     documented default.  Raises ConversionError for cube specimens of UHSC, and
-    ValueError for inputs the value types reject."""
-    converted = convert_strength(MeasuredStrength(fc_measured, fc_kind))
-    column = ColumnSpec(CircularSection(D, t, L), SteelMaterial(f_y, f_u, E_s),
-                        ConcreteMaterial(converted.f_c, d_max, E_c))
+    ValueError for inputs the value types reject.  Each object is built as its constructor
+    builds it, with the same checks in the same order, but by object.__new__ and slot setters."""
+    check_measured_strength(fc_measured)
+    measured = _new(MeasuredStrength)
+    _set_value(measured, fc_measured)
+    _set_kind(measured, fc_kind)
+    converted = convert_strength(measured)
+    check_section(D, t, L)
+    section = _new(CircularSection)
+    _set_D(section, D)
+    _set_t(section, t)
+    _set_L(section, L)
+    f_u, E_s, steel_defaulted = check_steel(f_y, f_u, E_s)
+    steel = _new(SteelMaterial)
+    _set_f_y(steel, f_y)
+    _set_f_u(steel, f_u)
+    _set_E_s(steel, E_s)
+    _set_steel_defaulted(steel, steel_defaulted)
+    d_max, E_c, concrete_defaulted = check_concrete(converted.f_c, d_max, E_c)
+    concrete = _new(ConcreteMaterial)
+    _set_f_c(concrete, converted.f_c)
+    _set_d_max(concrete, d_max)
+    _set_E_c(concrete, E_c)
+    _set_concrete_defaulted(concrete, concrete_defaulted)
+    column = _new(ColumnSpec)
+    _set_section(column, section)
+    _set_steel(column, steel)
+    _set_concrete(column, concrete)
+    column.__post_init__()  # the derived fields, as the constructor derives them
     return column, converted

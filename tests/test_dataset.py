@@ -164,6 +164,15 @@ class TestParse:
         # the default f_u = 1.25*f_y overflows to infinity
         ({"fu_MPa": "", "fy_MPa": "1.5e308"}, "f_u must be finite, got inf"),
         ({"dmax_mm": "inf", "Ntest_kN": "inf"}, "d_max must be finite, got inf"),
+        # a cell that is not a number: the first in D_mm ... fc_measured_MPa, fc_kind,
+        # dmax_mm, Ntest_kN order is named
+        ({"D_mm": "abc", "t_mm": "x"}, "D_mm: not a number: 'abc'"),
+        ({"fu_MPa": "x", "D_mm": "abc"}, "D_mm: not a number: 'abc'"),
+        ({"Es_MPa": "x", "fc_kind": "PRISM"}, "Es_MPa: not a number: 'x'"),
+        ({"dmax_mm": "x", "fc_kind": "PRISM"}, "fc_kind: unknown specimen kind 'PRISM'"),
+        ({"Ntest_kN": "x", "dmax_mm": "y"}, "dmax_mm: not a number: 'y'"),
+        ({"fc_measured_MPa": "x", "Ntest_kN": "-5"}, "fc_measured_MPa: not a number: 'x'"),
+        ({"Ntest_kN": "x", "t_mm": "50"}, "Ntest_kN: not a number: 'x'"),
     ])
     def test_first_of_two_faults_is_reported(self, cells, message):
         row = dict(zip(CSV_HEADER, "s,100,5,300,300,450,200000,30,CYL150,20,650".split(",")))

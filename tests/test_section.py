@@ -532,6 +532,30 @@ class TestColumnFromInputs:
             assert getattr(column, name).hex() == getattr(expected, name).hex(), name
         assert column.defaulted == expected.defaulted
         assert converted == expected_converted
+        # column_from_inputs may build its objects without their constructors: each must
+        # still behave like one built through them
+        parts = ((column.section, expected.section), (column.steel, expected.steel),
+                 (column.concrete, expected.concrete))
+        assert repr(column) == repr(expected)
+        assert hash(column) == hash(expected)
+        for part, expected_part in parts:
+            assert hash(part) == hash(expected_part)
+        assert column.steel.defaulted == expected.steel.defaulted
+        assert column.concrete.defaulted == expected.concrete.defaulted
+        restored = pickle.loads(pickle.dumps(column))
+        assert restored == column and restored.defaulted == column.defaulted
+        for name in ("A_s", "A_c", "I_s", "I_c", "dt_ratio", "ld_ratio", "alpha_s", "xi_c"):
+            assert getattr(restored, name).hex() == getattr(column, name).hex(), name
+        for part in (column, column.section, column.steel, column.concrete):
+            for f in dataclasses.fields(part):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(part, f.name, getattr(part, f.name))
+        section = column.section
+        replaced = dataclasses.replace(
+            column, section=CircularSection(section.D, section.t, section.L))
+        assert replaced == expected
+        for name in ("A_s", "A_c", "I_s", "I_c", "dt_ratio", "ld_ratio", "alpha_s", "xi_c"):
+            assert getattr(replaced, name).hex() == getattr(expected, name).hex(), name
 
     def test_converts_before_assembling(self):
         # an unconvertible strength is reported even where the section is impossible too

@@ -13,12 +13,14 @@ database (it needs pytest and hypothesis); it lists each statement of src/cfstco
 left unexecuted.  The traced step runs each workload of ``bench/run.py`` once, for
 two seconds on seed 1 with ``--trace 1``, and prints each TRACED pin it misses;
 a run that exits non-zero or ends in no JSON line is a miss, and the next runs.
-The golden step runs every single-column case of ``tests/golden_cases.py`` and
-the batch on the golden input; ``--command`` is the cfstcol command it runs,
+The golden step runs every single-column case of ``tests/golden_cases.py``, the
+batch on the golden input, and the batch on each seed-1 batch fixture of
+``bench/gen.py``, whose outputs must have the pinned SHA-256 digests of
+FIXTURE_DIGESTS; ``--command`` is the cfstcol command it runs,
 split on spaces (default: this interpreter's ``python -m cfstcol.cli`` on
 ``src/`` of the checkout; CI passes the installed ``cfstcol`` console script).
-The cross-interpreter step runs the golden step, then the batch on more inputs,
-under every pyenv interpreter from 3.10 on, and is skipped without pyenv.
+The cross-interpreter step runs the golden step, then the batch on an adversarial
+input, under every pyenv interpreter from 3.10 on, and is skipped without pyenv.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import ast
 import difflib
+import hashlib
 import json
 import os
 import re
@@ -41,13 +44,20 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(ROOT / "tests"))
 from golden_cases import COLUMNS, COMMANDS, GOLDEN, golden_case
 
-# the bench/gen.py fixtures whose batch outputs must not depend on the interpreter
-FIXTURES = ("batch-all", "batch-ingest")
-# nor may they on a file of the records that readers disagree on or cannot read: after a
-# byte-order mark, a 200 000-character cell, a NUL cell, nan, inf, 1e308, -0, a blank line,
-# quoted fields, a two-line quoted cell, a NUL in one and a row error after them, each a
-# row error or a value; last, a quoted 200 000-character cell whose second line reads as a
-# valid record, and a valid row after it: one row error, then one record
+# the SHA-256 of the rows CSV and the summary JSON that the batch writes on the seed-1 input
+# of each bench/gen.py batch workload, under every interpreter
+FIXTURE_DIGESTS = {
+    "batch-all": ("e10723a7742ec2c20df10fbc20bab21de932bacfe00e8a8f4b0fa0820b59c57e",
+                  "b58ccd6492864a2f1268850813077424ee39de00733cf35a86cc69cffffc0111"),
+    "batch-ingest": ("e2743b2dd18c9c9ab5477df53979837dcf254c756127d8e5746f1304db967e99",
+                     "933a3703f83f3397e54012d2d85af5987d80b00f35233e4048666b731baa77b0"),
+}
+# nor may the batch outputs depend on the interpreter on a file of the records that readers
+# disagree on or cannot read: after a byte-order mark, a 200 000-character cell, a NUL cell,
+# nan, inf, 1e308, -0, a blank line, quoted fields, a two-line quoted cell, a NUL in one and
+# a row error after them, each a row error or a value; last, a quoted 200 000-character cell
+# whose second line reads as a valid record, and a valid row after it: one row error, then
+# one record
 ADVERSARIAL = "\ufeff" + "\n".join([
     "source_id,D_mm,t_mm,L_mm,fy_MPa,fu_MPa,Es_MPa,fc_measured_MPa,fc_kind,dmax_mm,Ntest_kN",
     "ok,100,5,300,300,450,200000,30,CYL150,20,650",
@@ -257,11 +267,28 @@ def _same_batch(outputs: tuple[str, str] | None, label: str) -> bool:
             & _same(outputs[1], GOLDEN / "batch_all_summary.json", f"batch summary{label}"))
 
 
-def _golden(command: list[str], env: dict | None, label: str = "") -> bool:
+def _write_fixtures(directory: str) -> list[tuple[str, str, Path]]:
+    """The seed-1 input of each FIXTURE_DIGESTS workload, written by bench/gen.py into
+    ``directory``: the workload's name, its ``--method`` value and the file."""
+    if str(ROOT / "bench") not in sys.path:
+        sys.path[:0] = [str(SRC), str(ROOT / "bench")]
+    import gen
+
+    fixtures = []
+    for name in FIXTURE_DIGESTS:
+        workload = gen.build(name, 1)
+        source = Path(directory, f"{name}.csv")
+        source.write_text(workload.csv_text(), encoding="utf-8")
+        fixtures.append((name, workload.methods, source))
+    return fixtures
+
+
+def _golden(command: list[str], env: dict | None, fixtures: list[tuple[str, str, Path]],
+            label: str = "") -> bool:
     """Whether ``command``'s stdout and stderr in each single-column golden case of
     tests/golden_cases.py, and its batch outputs on the golden input, are the goldens'
-    bytes.  It runs outside the checkout, so that an installed command imports nothing
-    from src/."""
+    bytes, and its batch outputs on each of ``fixtures`` have the FIXTURE_DIGESTS.  It runs
+    outside the checkout, so that an installed command imports nothing from src/."""
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         for column in COLUMNS:
@@ -271,14 +298,26 @@ def _golden(command: list[str], env: dict | None, label: str = "") -> bool:
                                      stdout=subprocess.PIPE, stderr=subprocess.STDOUT).stdout
                 ok &= _same(out, expected, " ".join(argv) + label)
         ok &= _same_batch(_batch(command, tmp, env, "all", GOLDEN / "batch_input.csv"), label)
+        for name, methods, source in fixtures:
+            if _batch(command, tmp, env, methods, source) is None:
+                ok = False
+                continue
+            digests = tuple(hashlib.sha256(Path(tmp, output).read_bytes()).hexdigest()
+                            for output in ("rows.csv", "summary.json"))
+            if digests != FIXTURE_DIGESTS[name]:
+                print(f"batch on the {name} fixture{label}: SHA-256 {digests}, "
+                      f"pinned at {FIXTURE_DIGESTS[name]}")
+                ok = False
     return ok
 
 
 def golden(command: list[str] | None) -> bool:
     """The golden cases through ``command``, or through this interpreter on src/."""
-    if command:
-        return _golden(command, None)
-    return _golden([sys.executable, "-m", "cfstcol.cli"], _src_env())
+    with tempfile.TemporaryDirectory() as tmp:
+        fixtures = _write_fixtures(tmp)
+        if command:
+            return _golden(command, None, fixtures)
+        return _golden([sys.executable, "-m", "cfstcol.cli"], _src_env(), fixtures)
 
 
 def _pyenv_pythons() -> list[Path]:
@@ -297,48 +336,38 @@ def _pyenv_pythons() -> list[Path]:
 
 
 def cross_interpreter(command: list[str] | None) -> bool:
-    """Under every pyenv interpreter, the golden step passes, the batch on each seed-1
-    fixture and on the adversarial file exits 0 and gives the same bytes as under the oldest
-    one, and the adversarial file gives ADVERSARIAL_OUTCOME."""
+    """Under every pyenv interpreter, the golden step passes, the pinned fixtures included,
+    and the batch on the adversarial file exits 0, gives the same bytes as under the oldest
+    one and gives ADVERSARIAL_OUTCOME."""
     pythons = _pyenv_pythons()
     if not pythons:
         print("cross-interpreter: skipped, no pyenv interpreter from 3.10 on")
         return True
-    sys.path[:0] = [str(SRC), str(ROOT / "bench")]
-    import gen
-
     env = _src_env()
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
-        fixtures = []
-        for name in FIXTURES:
-            workload = gen.build(name, 1)
-            source = Path(tmp, f"{name}.csv")
-            source.write_text(workload.csv_text(), encoding="utf-8")
-            fixtures.append((name, workload.methods, source))
+        fixtures = _write_fixtures(tmp)
         source = Path(tmp, "adversarial.csv")
         source.write_text(ADVERSARIAL, encoding="utf-8")
-        fixtures.append(("adversarial", "all", source))
-        first: dict[str, tuple[str, str]] = {}
+        first = None
         for python in pythons:
             version = python.parent.parent.name
             print(f"cross-interpreter: Python {version}", flush=True)
             command = [str(python), "-m", "cfstcol.cli"]
-            ok &= _golden(command, env, f", Python {version}")
-            for name, methods, source in fixtures:
-                outputs = _batch(command, tmp, env, methods, source)
-                if outputs is None:
-                    ok = False
-                    continue
-                if name == "adversarial" and adversarial_outcome(outputs[1]) != ADVERSARIAL_OUTCOME:
-                    print(f"cross-interpreter: adversarial outcome under Python {version}: "
-                          f"{adversarial_outcome(outputs[1])}")
-                    ok = False
-                reference = first.setdefault(name, outputs)
-                if outputs != reference:
-                    print(f"cross-interpreter: {name} outputs under Python {version} differ from "
-                          f"those under Python {pythons[0].parent.parent.name}")
-                    ok = False
+            ok &= _golden(command, env, fixtures, f", Python {version}")
+            outputs = _batch(command, tmp, env, "all", source)
+            if outputs is None:
+                ok = False
+                continue
+            if adversarial_outcome(outputs[1]) != ADVERSARIAL_OUTCOME:
+                print(f"cross-interpreter: adversarial outcome under Python {version}: "
+                      f"{adversarial_outcome(outputs[1])}")
+                ok = False
+            first = first or outputs
+            if outputs != first:
+                print(f"cross-interpreter: adversarial outputs under Python {version} differ "
+                      f"from those under Python {pythons[0].parent.parent.name}")
+                ok = False
     return ok
 
 
