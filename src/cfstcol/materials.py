@@ -189,10 +189,18 @@ def cdpm_parameters(column: ColumnSpec) -> CdpmParameterSet:
 
 
 def peak_strain_unconfined(f_c: float) -> float:
-    """Unconfined peak strain eps_c0 = (-0.067*f_c^2 + 29.9*f_c + 1053)*1e-6."""
+    """Unconfined peak strain eps_c0 = (-0.067*f_c^2 + 29.9*f_c + 1053)*1e-6.
+
+    Where f_c^2 overflows (f_c above about 1.34e154 MPa) the negative square term
+    dominates: -inf.
+    """
     if f_c <= 0:
         raise ValueError("f_c must be positive")
-    return (-0.067 * f_c**2 + 29.9 * f_c + 1053.0) * 1e-6
+    try:
+        square = f_c**2
+    except OverflowError:
+        return -math.inf
+    return (-0.067 * square + 29.9 * f_c + 1053.0) * 1e-6
 
 
 def confining_pressure(f_y: float, f_c: float, dt_ratio: float) -> float:

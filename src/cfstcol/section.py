@@ -31,8 +31,7 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value:g}")
 
 
-# The row path builds objects without their Python-level constructors, which keep their checks
-_new = object.__new__
+# Builds a NamedTuple from a tuple of its fields without the Python-level __new__
 _new_tuple = tuple.__new__
 
 
@@ -107,15 +106,17 @@ def check_measured_strength(value: float) -> None:
         _require_finite(measured_strength=value)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MeasuredStrength:
     """A raw compressive strength (MPa) together with the specimen shape it came from."""
 
     value: float
     kind: SpecimenKind
 
-    def __post_init__(self) -> None:
-        check_measured_strength(self.value)
+    def __init__(self, value: float, kind: SpecimenKind) -> None:
+        check_measured_strength(value)
+        _set_value(self, value)
+        _set_kind(self, kind)
 
 
 class ConvertedStrength(NamedTuple):
@@ -168,7 +169,7 @@ def check_section(D: float, t: float, L: float) -> None:
         _require_finite(D=D, t=t, L=L)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CircularSection:
     """Circular tube geometry in mm: outer diameter D, wall thickness t, length L."""
 
@@ -176,8 +177,11 @@ class CircularSection:
     t: float
     L: float
 
-    def __post_init__(self) -> None:
-        check_section(self.D, self.t, self.L)
+    def __init__(self, D: float, t: float, L: float) -> None:
+        check_section(D, t, L)
+        _set_D(self, D)
+        _set_t(self, t)
+        _set_L(self, L)
 
 
 def section_areas(section: CircularSection) -> tuple[float, float]:
@@ -230,7 +234,7 @@ def check_steel(f_y: float, f_u: float | None,
     return f_u, E_s, defaulted
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SteelMaterial:
     """Steel tube properties (MPa).
 
@@ -240,12 +244,13 @@ class SteelMaterial:
     """
 
     f_y: float
-    f_u: float | None = None
-    E_s: float | None = None
+    f_u: float
+    E_s: float
     defaulted: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        f_u, E_s, defaulted = check_steel(self.f_y, self.f_u, self.E_s)
+    def __init__(self, f_y: float, f_u: float | None = None, E_s: float | None = None) -> None:
+        f_u, E_s, defaulted = check_steel(f_y, f_u, E_s)
+        _set_f_y(self, f_y)
         _set_f_u(self, f_u)
         _set_E_s(self, E_s)
         _set_steel_defaulted(self, defaulted)
@@ -279,7 +284,7 @@ def check_concrete(f_c: float, d_max: float | None,
     return d_max, E_c, defaulted
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ConcreteMaterial:
     """Core concrete properties: f_c on the 150x300-cylinder basis (MPa).
 
@@ -288,12 +293,13 @@ class ConcreteMaterial:
     """
 
     f_c: float
-    d_max: float | None = None
-    E_c: float | None = None
+    d_max: float
+    E_c: float
     defaulted: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        d_max, E_c, defaulted = check_concrete(self.f_c, self.d_max, self.E_c)
+    def __init__(self, f_c: float, d_max: float | None = None, E_c: float | None = None) -> None:
+        d_max, E_c, defaulted = check_concrete(f_c, d_max, E_c)
+        _set_f_c(self, f_c)
         _set_d_max(self, d_max)
         _set_E_c(self, E_c)
         _set_concrete_defaulted(self, defaulted)
@@ -306,7 +312,7 @@ class ConcreteMaterial:
         return ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ColumnSpec:
     """One circular CFST column: geometry plus steel and core concrete.
 
@@ -327,13 +333,16 @@ class ColumnSpec:
     alpha_s: float = field(init=False, repr=False, compare=False)
     xi_c: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        section = self.section
+    def __init__(self, section: CircularSection, steel: SteelMaterial,
+                 concrete: ConcreteMaterial) -> None:
         A_s, A_c = section_areas(section)
-        xi_c = confinement_factor(A_s, self.steel.f_y, A_c, self.concrete.f_c)
+        xi_c = confinement_factor(A_s, steel.f_y, A_c, concrete.f_c)
         if not math.isfinite(A_s * A_c * xi_c):
             _require_finite(A_s=A_s, A_c=A_c, xi_c=xi_c)
         I_s, I_c = section_second_moments(section)
+        _set_section(self, section)
+        _set_steel(self, steel)
+        _set_concrete(self, concrete)
         _set_A_s(self, A_s)
         _set_A_c(self, A_c)
         _set_I_s(self, I_s)
@@ -371,35 +380,12 @@ def column_from_inputs(
 ) -> tuple[ColumnSpec, ConvertedStrength]:
     """The column a specimen's inputs describe, and its strength on the cylinder basis.
 
-    It converts the measured strength, then assembles the column; None takes the
-    documented default.  Raises ConversionError for cube specimens of UHSC, and
-    ValueError for inputs the value types reject.  Each object is built as its constructor
-    builds it, with the same checks in the same order, but by object.__new__ and slot setters."""
-    check_measured_strength(fc_measured)
-    measured = _new(MeasuredStrength)
-    _set_value(measured, fc_measured)
-    _set_kind(measured, fc_kind)
-    converted = convert_strength(measured)
-    check_section(D, t, L)
-    section = _new(CircularSection)
-    _set_D(section, D)
-    _set_t(section, t)
-    _set_L(section, L)
-    f_u, E_s, steel_defaulted = check_steel(f_y, f_u, E_s)
-    steel = _new(SteelMaterial)
-    _set_f_y(steel, f_y)
-    _set_f_u(steel, f_u)
-    _set_E_s(steel, E_s)
-    _set_steel_defaulted(steel, steel_defaulted)
-    d_max, E_c, concrete_defaulted = check_concrete(converted.f_c, d_max, E_c)
-    concrete = _new(ConcreteMaterial)
-    _set_f_c(concrete, converted.f_c)
-    _set_d_max(concrete, d_max)
-    _set_E_c(concrete, E_c)
-    _set_concrete_defaulted(concrete, concrete_defaulted)
-    column = _new(ColumnSpec)
-    _set_section(column, section)
-    _set_steel(column, steel)
-    _set_concrete(column, concrete)
-    column.__post_init__()  # the derived fields, as the constructor derives them
+    It converts the measured strength, then assembles the column from the five
+    value-type constructors; None takes the documented default.  Raises
+    ConversionError for cube specimens of UHSC, and ValueError for inputs the
+    value types reject.
+    """
+    converted = convert_strength(MeasuredStrength(fc_measured, fc_kind))
+    column = ColumnSpec(CircularSection(D, t, L), SteelMaterial(f_y, f_u, E_s),
+                        ConcreteMaterial(converted.f_c, d_max, E_c))
     return column, converted

@@ -804,6 +804,15 @@ class TestHugeFiniteInputs:
         assert [r.split(",")[1] for r in rows] == ["ok", "tiny", "last"]
         assert "A_c*f_c must be positive" in rows[1]
 
+    @pytest.mark.parametrize("command", [["curve", "concrete"], ["cdpm", "--L", "300"], ["respond"]],
+                             ids=["curve-concrete", "cdpm", "respond"])
+    def test_strength_whose_square_overflows_fails_the_peak_strain_check(self, capsys, command):
+        # f_c**2 overflows above about 1.34e154 MPa: eps_c0 is -inf, not an OverflowError
+        code, out, err = run(capsys, [*command, "--D", "100", "--t", "5", "--fy", "300",
+                                      "--fc", "1e200"])
+        assert (code, out) == (2, "")
+        assert err == "error: peak-strain regression gives eps_c0 = -inf <= 0 at f_c=1e+200 MPa\n"
+
     def test_respond_overflow_is_still_a_usage_error(self, capsys):
         code, out, err = run(capsys, ["respond", "--D", "100", "--t", "5", "--fy", "300",
                                       "--fc", "1e-70"])

@@ -562,11 +562,30 @@ class TestRecordRule:
     """A public type that validates is a dataclass; every other record is a NamedTuple."""
 
     def test_every_public_dataclass_validates(self):
+        # per public dataclass: arguments whose first is invalid, and the error they give
+        invalid_first = {
+            "PredictionSettings": ((0.0,), "all settings factors must be positive"),
+            "MeasuredStrength": ((0.0, SpecimenKind.CYL150), "measured strength must be positive"),
+            "CircularSection": ((0.0, 5.0, 300.0), "D, t and L must all be positive"),
+            "SteelMaterial": ((0.0,), "f_y must be positive"),
+            "ConcreteMaterial": ((0.0,), "f_c must be positive"),
+            # a valid tube whose core area overflows
+            "ColumnSpec": ((CircularSection(1e200, 1.0, 300.0), SteelMaterial(300.0),
+                            ConcreteMaterial(30.0)), "A_c must be finite"),
+        }
         types = [getattr(cfstcol, name) for name in cfstcol.__all__]
         dataclass_types = [t for t in types if isinstance(t, type) and dataclasses.is_dataclass(t)]
-        assert dataclass_types
+        assert {t.__name__ for t in dataclass_types} == set(invalid_first)
         for t in dataclass_types:
-            assert "__post_init__" in vars(t), t.__name__
+            # its own validating code: a __post_init__, or an __init__ written in its
+            # module, not the one dataclasses generates, whose file is "<string>"
+            own = vars(t)
+            module_file = sys.modules[t.__module__].__file__
+            assert ("__post_init__" in own
+                    or own["__init__"].__code__.co_filename == module_file), t.__name__
+            args, message = invalid_first[t.__name__]
+            with pytest.raises(ValueError, match=f"^{message}"):
+                t(*args)
 
     def test_plain_records_are_tuples_that_round_trip_through_pickle(self):
         report = ApplicabilityReport((Violation("fy <= 525 MPa", 525.0, 600.0),))

@@ -350,6 +350,23 @@ class TestValueTypeContract:
                 setattr(value, field.name, getattr(value, field.name))
         assert not hasattr(value, "__dict__")
 
+    @pytest.mark.parametrize("value,changes,error,message", [
+        (CircularSection(100.0, 5.0, 300.0), {"t": 60.0}, SectionError,
+         "D=100 mm and t=60 mm leave no concrete core (need D > 2t)"),
+        (ConcreteMaterial(30.0), {"d_max": -1.0}, ValueError, "d_max must be non-negative"),
+        (MeasuredStrength(30.0, SpecimenKind.CYL150), {"value": 0.0}, ValueError,
+         "measured strength must be positive"),
+        (SteelMaterial(300.0), {"E_s": 0.0}, ValueError, "E_s must be positive"),
+    ], ids=["CircularSection", "ConcreteMaterial", "MeasuredStrength", "SteelMaterial"])
+    def test_replace_runs_the_constructors_checks(self, value, changes, error, message):
+        with pytest.raises(error) as replaced:
+            dataclasses.replace(value, **changes)
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.init}
+        with pytest.raises(error) as constructed:
+            type(value)(**{**fields, **changes})
+        assert str(replaced.value) == str(constructed.value) == message
+        assert type(replaced.value) is type(constructed.value)
+
     def test_defaulted_takes_no_part_in_equality_or_repr(self):
         steel, concrete = SteelMaterial(300.0), ConcreteMaterial(30.0)
         assert steel == SteelMaterial(300.0, 375.0, 200_000.0)

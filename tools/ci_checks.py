@@ -19,6 +19,8 @@ batch on the golden input, and the batch on each seed-1 batch fixture of
 FIXTURE_DIGESTS; ``--command`` is the cfstcol command it runs,
 split on spaces (default: this interpreter's ``python -m cfstcol.cli`` on
 ``src/`` of the checkout; CI passes the installed ``cfstcol`` console script).
+It also runs ``bench/run.py``'s call on each seed-1 column-sweep column in this
+process, on ``src/``, and the results must have the SHA-256 of SWEEP_DIGEST.
 The cross-interpreter step runs the golden step, then the batch on an adversarial
 input, under every pyenv interpreter from 3.10 on, and is skipped without pyenv.
 """
@@ -52,6 +54,9 @@ FIXTURE_DIGESTS = {
     "batch-ingest": ("e2743b2dd18c9c9ab5477df53979837dcf254c756127d8e5746f1304db967e99",
                      "933a3703f83f3397e54012d2d85af5987d80b00f35233e4048666b731baa77b0"),
 }
+# the SHA-256 over the repr of each bench/run.py column_call result, (f_c, predictions,
+# response, card), on the seed-1 column-sweep columns in order
+SWEEP_DIGEST = "5c8d0b680cbd5de9bbc6c1bad53bd15f042a2080fc5827ed54d913504da41321"
 # nor may the batch outputs depend on the interpreter on a file of the records that readers
 # disagree on or cannot read: after a byte-order mark, a 200 000-character cell, a NUL cell,
 # nan, inf, 1e308, -0, a blank line, quoted fields, a two-line quoted cell, a NUL in one and
@@ -267,11 +272,16 @@ def _same_batch(outputs: tuple[str, str] | None, label: str) -> bool:
             & _same(outputs[1], GOLDEN / "batch_all_summary.json", f"batch summary{label}"))
 
 
+def _bench_on_path() -> None:
+    """Put src/ and bench/ of the checkout first on the path, once."""
+    if str(ROOT / "bench") not in sys.path:
+        sys.path[:0] = [str(SRC), str(ROOT / "bench")]
+
+
 def _write_fixtures(directory: str) -> list[tuple[str, str, Path]]:
     """The seed-1 input of each FIXTURE_DIGESTS workload, written by bench/gen.py into
     ``directory``: the workload's name, its ``--method`` value and the file."""
-    if str(ROOT / "bench") not in sys.path:
-        sys.path[:0] = [str(SRC), str(ROOT / "bench")]
+    _bench_on_path()
     import gen
 
     fixtures = []
@@ -311,13 +321,32 @@ def _golden(command: list[str], env: dict | None, fixtures: list[tuple[str, str,
     return ok
 
 
+def _same_sweep() -> bool:
+    """Whether the seed-1 column-sweep results of bench/run.py's column_call, in this
+    process on src/, have SWEEP_DIGEST; if not, print theirs."""
+    _bench_on_path()
+    import gen
+    import run
+
+    digest = hashlib.sha256()
+    for args in run.column_inputs(gen.build("column-sweep", 1)):
+        digest.update(repr(run.column_call(args)).encode())
+    if digest.hexdigest() == SWEEP_DIGEST:
+        return True
+    print(f"column-sweep results: SHA-256 {digest.hexdigest()}, pinned at {SWEEP_DIGEST}")
+    return False
+
+
 def golden(command: list[str] | None) -> bool:
-    """The golden cases through ``command``, or through this interpreter on src/."""
+    """The golden cases through ``command``, or through this interpreter on src/, and the
+    column-sweep results."""
     with tempfile.TemporaryDirectory() as tmp:
         fixtures = _write_fixtures(tmp)
         if command:
-            return _golden(command, None, fixtures)
-        return _golden([sys.executable, "-m", "cfstcol.cli"], _src_env(), fixtures)
+            ok = _golden(command, None, fixtures)
+        else:
+            ok = _golden([sys.executable, "-m", "cfstcol.cli"], _src_env(), fixtures)
+    return _same_sweep() & ok
 
 
 def _pyenv_pythons() -> list[Path]:
